@@ -13,7 +13,7 @@ Submodules:
 - :mod:`cnoweave.cli` — the experiment command line
 """
 
-from . import bench, cli, cno, filters, net, sde, serial, spaces, weave  # noqa: F401
+from . import bench, cno, filters, net, sde, serial, spaces, weave  # noqa: F401
 from .errors import (  # noqa: F401
     BudgetInfeasibleError,
     BudgetOverflowError,

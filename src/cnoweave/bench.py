@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cno, net, weave
-from .errors import InvalidArgumentError, UnsupportedError
+from . import cno, net
+from .errors import InvalidArgumentError
 
 __all__ = [
     "RecursiveTarget",
@@ -27,7 +27,6 @@ __all__ = [
     "eval_recursive",
     "recursive_path",
     "compare",
-    "rnn_reduction_check",
     "G_MAPS",
 ]
 
@@ -188,31 +187,3 @@ def compare(target: RecursiveTarget, eps_A: float, budgets, seed: int = 0,
             raise InvalidArgumentError(f"unknown model kind {b['kind']!r}")
     return TradeoffReport(rows=rows)
 
-
-def rnn_reduction_check(model: cno.CnoModel, n_trials: int = 100, seed: int = 0) -> bool:
-    """Verify the recurrent reading of the causal forward pass.
-
-    Maintains the previous output y and evaluates each step as
-    f_theta(A(y, x_window)) with the projection precomposition A(y, x) = x;
-    outputs must be bit-identical to :func:`cno.predict`.  Only defined for
-    Euclidean (plain-coordinate) models.
-    """
-    if model.out_spaces and any(
-        getattr(s, "kind", "euclidean") != "euclidean" for s in model.out_spaces
-    ):
-        raise UnsupportedError("the recurrent reduction is Euclidean-only")
-    rng = np.random.default_rng(seed)
-    horizon = model.horizon
-    thetas = weave.rollout(model.weave_model, horizon)
-    for _ in range(n_trials):
-        x_path = rng.random((horizon, model.step_dim))
-        expected = cno.predict(model, x_path)
-        y_prev = np.zeros(model.out_dim)
-        for i in range(horizon):
-            window = cno.build_window(x_path, i, model.M, model.step_dim)
-            # A(y, x) = x: the recurrence carries y but the filter ignores it
-            stacked = (y_prev, window)
-            y_prev = net.forward(model.synced_spec, thetas[i], stacked[1])
-            if not np.array_equal(y_prev, expected[i]):
-                return False
-    return True

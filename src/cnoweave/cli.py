@@ -81,20 +81,6 @@ def _write_json(path: str, obj):
         fh.write(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _emit_manifest(out: str, cfg: dict, files: list, timings: dict, error=None):
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg,
-        "config_hash": serial.sha256_bytes(serial.canonical_json(cfg).encode()),
-        "files": {name: serial.sha256_file(os.path.join(out, name)) for name in files},
-        "timings": timings,
-    }
-    if error is not None:
-        manifest["error"] = error
-    _write_json(os.path.join(out, "manifest.json"), manifest)
-    return manifest
-
-
 def _regularity_from(cfg: dict):
     reg = _require(cfg, "regularity", dict)
     kind = _require(reg, "kind", str)
@@ -129,8 +115,8 @@ def cmd_budget(cfg: dict) -> int:
             delta=float(_require(t2, "delta")), T=int(_require(t2, "T")),
         )
     _write_json(os.path.join(out, "budget.json"), result)
-    _emit_manifest(out, cfg, ["budget.json"],
-                   {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["budget.json"],
+                          {"total_s": time.perf_counter() - t0})
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
@@ -176,8 +162,8 @@ def cmd_train_filter(cfg: dict) -> int:
         "shortfall": bool(gate is not None and not err < float(gate)),
     }
     _write_json(os.path.join(out, "train_report.json"), report)
-    _emit_manifest(out, cfg, ["filter.net", "train_report.json"],
-                   {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["filter.net", "train_report.json"],
+                          {"total_s": time.perf_counter() - t0})
     print(json.dumps(report, sort_keys=True))
     if report["shortfall"]:
         raise TrainingShortfallError("training did not reach the gate",
@@ -224,8 +210,8 @@ def cmd_construct(cfg: dict) -> int:
         "shortfalls": [r.index for r in reports if r.shortfall],
     }
     _write_json(os.path.join(out, "construct_report.json"), summary)
-    _emit_manifest(out, cfg, ["construct_report.json"],
-                   {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["construct_report.json"],
+                          {"total_s": time.perf_counter() - t0})
     print(json.dumps(summary, sort_keys=True))
     if summary["shortfalls"]:
         raise TrainingShortfallError(
@@ -247,8 +233,8 @@ def cmd_predict(cfg: dict) -> int:
         "outputs": [o.tolist() for o in outputs],
     }
     _write_json(os.path.join(out, "predictions.json"), result)
-    _emit_manifest(out, cfg, ["predictions.json"],
-                   {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["predictions.json"],
+                          {"total_s": time.perf_counter() - t0})
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
@@ -277,7 +263,7 @@ def cmd_audit(cfg: dict) -> int:
         "ok": passed == n_pairs,
     }
     _write_json(os.path.join(out, "audit.json"), result)
-    _emit_manifest(out, cfg, ["audit.json"], {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["audit.json"], {"total_s": time.perf_counter() - t0})
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK if result["ok"] else EXIT_INTEGRITY
 
@@ -309,7 +295,7 @@ def cmd_weave_test(cfg: dict) -> int:
         "table2": weave.table2_report(P, Q, delta, T, measured_width=hidden_width),
     }
     _write_json(os.path.join(out, "weave_test.json"), result)
-    _emit_manifest(out, cfg, ["weave_test.json"], {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["weave_test.json"], {"total_s": time.perf_counter() - t0})
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
@@ -348,7 +334,7 @@ def cmd_sde_bench(cfg: dict) -> int:
     csv_text = "\n".join(lines) + "\n"
     with open(os.path.join(out, "sde_bench.csv"), "w") as fh:
         fh.write(csv_text)
-    _emit_manifest(out, cfg, ["sde_bench.csv"], {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["sde_bench.csv"], {"total_s": time.perf_counter() - t0})
     print(csv_text)
     if any(r.shortfall for r in reports):
         raise TrainingShortfallError(
@@ -389,8 +375,8 @@ def cmd_compare_rnn(cfg: dict) -> int:
         ),
     }
     _write_json(os.path.join(out, "tradeoff_summary.json"), summary)
-    _emit_manifest(out, cfg, ["tradeoff.csv", "tradeoff_summary.json"],
-                   {"total_s": time.perf_counter() - t0})
+    serial.write_manifest(out, cfg, ["tradeoff.csv", "tradeoff_summary.json"],
+                          {"total_s": time.perf_counter() - t0})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -415,7 +401,6 @@ def cmd_inspect(args_bundle: str) -> int:
                                       measured_width=hidden_width),
         "config_hash": manifest["config_hash"],
     }
-    assert summary["P"] == w.P  # recomputation must agree with the stored weave
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
 

@@ -139,20 +139,43 @@ def memory_for(eps_A: float, r: float, c_mem: float = 1.0) -> int:
     return max(1, math.ceil(value - 1e-9))
 
 
+def _as_paths(paths, step_dim: int) -> np.ndarray:
+    """Paths as a float (n_paths, n_steps, step_dim) array; a 2-D array is a
+    batch of scalar-step paths.  Callers wrap a single path in a list."""
+    paths = np.asarray(paths, dtype=np.float64)
+    if paths.ndim == 2:
+        paths = paths[:, :, None]
+    if paths.ndim != 3:
+        raise InvalidArgumentError(f"paths must be 2-D or 3-D, got {paths.ndim}-D")
+    if paths.shape[2] != step_dim:
+        raise InvalidArgumentError(
+            f"path step dim {paths.shape[2]} does not match {step_dim}"
+        )
+    return paths
+
+
+def _windows(paths: np.ndarray, M: int) -> np.ndarray:
+    """Every window of (n_paths, n_steps, step_dim) paths, shaped
+    (n_paths, n_steps, M * step_dim): row i holds steps (i - M, i],
+    left-padded with zeros.  The one place the causal window is laid out.
+
+    One slice copy per lag: on the short paths ``predict`` sees this costs
+    less than a fancy index, whose index array alone takes a few µs."""
+    if M < 1:
+        raise InvalidArgumentError(f"memory M must be >= 1, got {M}")
+    n_paths, n_steps, step_dim = paths.shape
+    out = np.zeros((n_paths, n_steps, M, step_dim))
+    for lag in range(min(M, n_steps)):
+        out[:, lag:, M - 1 - lag] = paths[:, : n_steps - lag]
+    return out.reshape(n_paths, n_steps, M * step_dim)
+
+
 def build_window(x_path: np.ndarray, i: int, M: int, step_dim: int) -> np.ndarray:
     """Window vector for step i: steps (i - M, i], left-padded with zeros."""
-    x_path = np.asarray(x_path, dtype=np.float64)
-    if x_path.ndim == 1:
-        x_path = x_path[:, None]
-    if x_path.shape[1] != step_dim:
-        raise InvalidArgumentError(
-            f"path step dim {x_path.shape[1]} does not match {step_dim}"
-        )
-    out = np.zeros((M, step_dim))
-    lo = max(0, i - M + 1)
-    chunk = x_path[lo : i + 1]
-    out[M - len(chunk) :] = chunk
-    return out.ravel()
+    windows = _windows(_as_paths([x_path], step_dim), M)[0]
+    if not 0 <= i < len(windows):
+        raise InvalidArgumentError(f"step {i} is outside the path's [0, {len(windows)})")
+    return windows[i]
 
 
 def windows_from_paths(paths: np.ndarray, targets: np.ndarray, grid: TimeGrid,
@@ -163,17 +186,12 @@ def windows_from_paths(paths: np.ndarray, targets: np.ndarray, grid: TimeGrid,
     ``paths`` is (n_samples, n_steps, step_dim) (or 2-D for scalar steps) and
     ``targets`` is (n_samples, n_steps, out_dim) (or 2-D for scalar outputs).
     """
-    paths = np.asarray(paths, dtype=np.float64)
+    inputs = _windows(_as_paths(paths, step_dim), M)
     targets = np.asarray(targets, dtype=np.float64)
-    if paths.ndim == 2:
-        paths = paths[:, :, None]
     if targets.ndim == 2:
         targets = targets[:, :, None]
-    n_samples, n_steps, _ = paths.shape
-    windows = []
-    for i in range(n_steps):
-        ins = np.stack([build_window(paths[s], i, M, step_dim) for s in range(n_samples)])
-        windows.append({"inputs": ins, "targets": targets[:, i, :]})
+    windows = [{"inputs": inputs[:, i], "targets": targets[:, i, :]}
+               for i in range(inputs.shape[1])]
     return CausalDataset(
         grid=grid, M=M, step_dim=step_dim, windows=windows,
         in_spaces=list(in_spaces or []), out_spaces=list(out_spaces or []),
@@ -265,25 +283,20 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
 def predict(model: CnoModel, x_path, horizon: int = None):
     """Causal rollout: per step, read the window's parameters from the weave
     and evaluate the filter on the trailing window only."""
-    x_path = np.asarray(x_path, dtype=np.float64)
-    if x_path.ndim == 1:
-        x_path = x_path[:, None]
+    paths = _as_paths([x_path], model.step_dim)
     if horizon is None:
         horizon = model.horizon
     if horizon < 1 or horizon > model.horizon:
         raise InvalidArgumentError(
             f"horizon must be in [1, {model.horizon}], got {horizon}"
         )
-    if x_path.shape[0] < horizon:
+    if paths.shape[1] < horizon:
         raise InvalidArgumentError(
-            f"path has {x_path.shape[0]} steps, need at least {horizon}"
+            f"path has {paths.shape[1]} steps, need at least {horizon}"
         )
+    windows = _windows(paths[:, :horizon], model.M)[0]
     thetas = weave.rollout(model.weave_model, horizon)
-    outputs = []
-    for i in range(horizon):
-        window = build_window(x_path, i, model.M, model.step_dim)
-        outputs.append(net.forward(model.synced_spec, thetas[i], window))
-    return outputs
+    return [net.forward(model.synced_spec, thetas[i], windows[i]) for i in range(horizon)]
 
 
 def causality_audit(model: CnoModel, x_path_a, x_path_b, i: int) -> bool:
@@ -291,10 +304,6 @@ def causality_audit(model: CnoModel, x_path_a, x_path_b, i: int) -> bool:
     (steps > i) differs between the two paths."""
     a = np.asarray(x_path_a, dtype=np.float64)
     b = np.asarray(x_path_b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
     if a.shape != b.shape:
         raise InvalidArgumentError("paths must share a shape")
     if not np.array_equal(a[: i + 1], b[: i + 1]):

@@ -156,14 +156,11 @@ def _prelu(v, alpha):
 def forward(spec: NetSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the network; accepts a single vector or a batch (N, d_0)."""
     layers, c = unpack(spec, theta)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if x.shape[-1] != spec.d_in:
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[-1] != spec.d_in:
         raise InvalidArgumentError(
-            f"input has last dim {x.shape[-1]}, spec expects {spec.d_in}"
+            f"input has last dim {h.shape[-1]}, spec expects {spec.d_in}"
         )
-    del single
-    h = x
     for A, b, alpha in layers:
         h = _prelu(h + b, alpha) @ A.T
     return h + c

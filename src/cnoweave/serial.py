@@ -23,6 +23,7 @@ __all__ = [
     "load_net",
     "save_weave",
     "load_weave",
+    "write_manifest",
     "save_bundle",
     "load_bundle",
     "verify_bundle",
@@ -31,6 +32,7 @@ __all__ = [
 NET_MAGIC = b"CNOWEAVE-NET v1\n"
 WEAVE_MAGIC = b"CNOWEAVE-WEAVE v1\n"
 SCHEMA_VERSION = 1
+WEAVE_FILE, MODEL_FILE = BUNDLE_FILES = ("weave.bin", "model.json")
 
 
 def canonical_json(obj) -> str:
@@ -128,12 +130,26 @@ def load_weave(path: str) -> weave.WeaveModel:
     )
 
 
+def write_manifest(out_dir: str, config: dict, files, timings: dict) -> dict:
+    """Write ``out_dir/manifest.json`` and return it: the schema version, the
+    config and its hash, the SHA-256 of each named file, and the timings."""
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "config": config,
+        "config_hash": sha256_bytes(canonical_json(config).encode()),
+        "files": {name: sha256_file(os.path.join(out_dir, name)) for name in files},
+        "timings": timings,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2))
+    return manifest
+
+
 def save_bundle(out_dir: str, model: cno.CnoModel, config: dict = None,
                 timings: dict = None) -> dict:
     """Write a model bundle directory and return its manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    weave_path = os.path.join(out_dir, "weave.bin")
-    save_weave(weave_path, model.weave_model)
+    save_weave(os.path.join(out_dir, WEAVE_FILE), model.weave_model)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "grid_times": [float(t) for t in model.grid.times],
@@ -152,26 +168,14 @@ def save_bundle(out_dir: str, model: cno.CnoModel, config: dict = None,
             for r in model.reports
         ],
     }
-    meta_path = os.path.join(out_dir, "model.json")
-    with open(meta_path, "w") as fh:
+    with open(os.path.join(out_dir, MODEL_FILE), "w") as fh:
         fh.write(canonical_json(meta))
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config or {},
-        "config_hash": sha256_bytes(canonical_json(config or {}).encode()),
-        "files": {
-            "weave.bin": sha256_file(weave_path),
-            "model.json": sha256_file(meta_path),
-        },
-        "timings": timings or {},
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2))
-    return manifest
+    return write_manifest(out_dir, config or {}, BUNDLE_FILES, timings or {})
 
 
 def verify_bundle(bundle_dir: str) -> dict:
-    """Check every file hash recorded in the manifest; raise on mismatch."""
+    """Check that the manifest lists exactly the bundle's files and that every
+    hash matches; raise on any difference."""
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise IntegrityError(f"{bundle_dir}: missing manifest.json")
@@ -179,7 +183,10 @@ def verify_bundle(bundle_dir: str) -> dict:
         manifest = json.load(fh)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise IntegrityError(f"unknown manifest schema {manifest.get('schema_version')}")
-    for name, expected in manifest.get("files", {}).items():
+    files = manifest.get("files")
+    if not isinstance(files, dict) or sorted(files) != sorted(BUNDLE_FILES):
+        raise IntegrityError(f"the manifest must list exactly the files {list(BUNDLE_FILES)}")
+    for name, expected in files.items():
         path = os.path.join(bundle_dir, name)
         if not os.path.exists(path):
             raise IntegrityError(f"{name}: file missing from bundle")
@@ -191,12 +198,18 @@ def verify_bundle(bundle_dir: str) -> dict:
 
 def load_bundle(bundle_dir: str) -> cno.CnoModel:
     verify_bundle(bundle_dir)
-    with open(os.path.join(bundle_dir, "model.json")) as fh:
+    with open(os.path.join(bundle_dir, MODEL_FILE)) as fh:
         meta = json.load(fh)
-    wmodel = load_weave(os.path.join(bundle_dir, "weave.bin"))
+    wmodel = load_weave(os.path.join(bundle_dir, WEAVE_FILE))
+    synced_spec = net.NetSpec(tuple(meta["synced_dims"]), meta["synced_activation"])
+    if net.param_count(synced_spec) != wmodel.P:
+        raise IntegrityError(
+            f"{MODEL_FILE}: synced dims hold {net.param_count(synced_spec)} parameters, "
+            f"{WEAVE_FILE} stores P={wmodel.P}"
+        )
     return cno.CnoModel(
         weave_model=wmodel,
-        synced_spec=net.NetSpec(tuple(meta["synced_dims"]), meta["synced_activation"]),
+        synced_spec=synced_spec,
         grid=cno.TimeGrid(np.array(meta["grid_times"])),
         M=meta["M"],
         step_dim=meta["step_dim"],

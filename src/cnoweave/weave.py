@@ -68,9 +68,14 @@ class Packing:
 
 
 def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    return d[np.triu_indices(len(pts), k=1)]
+    """Distances between rows a < b of two or more points, in
+    ``np.triu_indices`` order.  One row at a time, so memory stays linear in
+    the size of ``pts``."""
+    rows = []
+    for a in range(len(pts) - 1):
+        diff = pts[a + 1:] - pts[a]
+        rows.append(np.sqrt(np.sum(diff * diff, axis=-1)))
+    return np.concatenate(rows)
 
 
 def _greedy_farthest(pool: np.ndarray, delta: float, T_needed: int, start: int):
@@ -300,11 +305,7 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
         raise InvalidArgumentError(
             f"T={T} exceeds the viable horizon floor(delta^-Q)={horizon}"
         )
-    if T > 1:
-        diffs = thetas[:, None, :] - thetas[None, :, :]
-        m_t = float(np.sqrt(np.sum(diffs * diffs, axis=-1)).max())
-    else:
-        m_t = 0.0
+    m_t = float(_pairwise_distances(thetas).max()) if T > 1 else 0.0
     M_T = max(1.0, m_t)
     packing = pack_ball(Q, R, delta, T, seed=seed)
     codes = np.hstack([thetas / M_T, packing.points[:T]])

@@ -1,11 +1,10 @@
-"""Recursive causal targets, the trade-off harness, and the recurrent
-reduction check."""
+"""Recursive causal targets and the trade-off harness."""
 
 import numpy as np
 import pytest
 
-from cnoweave import bench, cno
-from cnoweave.errors import InvalidArgumentError, UnsupportedError
+from cnoweave import bench
+from cnoweave.errors import InvalidArgumentError
 
 RNG = np.random.default_rng
 
@@ -102,26 +101,3 @@ class TestCompare:
         with pytest.raises(InvalidArgumentError):
             bench.compare(target, 0.1, [{"kind": "ffnn", "dims": (2, 4, 1)}])
 
-
-class TestRnnReduction:
-    def test_passes_on_euclidean_model(self):
-        rng = RNG(3)
-        target = bench.RecursiveTarget(T=3, G="mean")
-        z = rng.random((64, 3))
-        path = bench.recursive_path(target, z)
-        grid = cno.TimeGrid(np.arange(3, dtype=np.float64))
-        ds = cno.windows_from_paths(z, path, grid, M=2, step_dim=1)
-        model, _ = cno.construct_cno(ds, eps_D=0.2, eps_A=0.2, Q=4, delta=0.5,
-                                     seed=0, train_opts={"epochs": 30})
-        assert bench.rnn_reduction_check(model, n_trials=20, seed=1)
-
-    def test_non_euclidean_rejected(self):
-        from cnoweave import sde
-        c = sde.ou_coeffs()
-        grid = cno.TimeGrid(0.5 * np.arange(3))
-        o = sde.McOracle(n_paths=100, n_steps=8, seed=0)
-        ds = sde.build_sde_dataset(c, grid, (-1, 1), o, 2, 4, seed=0)
-        model, _ = cno.construct_cno(ds, eps_D=0.5, eps_A=0.5, Q=4, delta=0.5,
-                                     seed=0, train_opts={"epochs": 5})
-        with pytest.raises(UnsupportedError):
-            bench.rnn_reduction_check(model, n_trials=1)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -103,6 +105,32 @@ class TestExitCodes:
         blob = target.read_bytes()
         target.write_bytes(blob[:-1])
         assert run(["inspect", str(out / "bundle")]) == 5
+
+    def test_manifest_without_files_is_5(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "c.yaml", {
+            "T": 2, "M": 2, "n_train": 64, "hidden": [8],
+            "eps_D": 0.5, "eps_A": 0.5, "train": {"epochs": 10},
+            "out_dir": str(out),
+        })
+        assert run(["construct", cfg]) == 0
+        bundle = out / "bundle"
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["files"] = {}
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        (bundle / "weave.bin").unlink()
+        assert run(["inspect", str(bundle)]) == 5
+
+
+def test_module_entry_point_imports_cleanly():
+    # the package must not import cli, or runpy warns on `python -m cnoweave.cli`
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cnoweave.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTrainFilter:

@@ -66,6 +66,50 @@ class TestBuildWindow:
         with pytest.raises(InvalidArgumentError):
             cno.build_window(np.zeros((3, 2)), 0, 2, 1)
 
+    def test_step_outside_path_rejected(self):
+        path = np.arange(3.0)[:, None]
+        for i in (-1, 3):
+            with pytest.raises(InvalidArgumentError):
+                cno.build_window(path, i, 2, 1)
+
+
+class TestWindowContract:
+    """Training (windows_from_paths) and serving (predict) see the same window."""
+
+    def test_dataset_rows_are_build_window(self):
+        rng = RNG(7)
+        longer_memory = 0
+        for _ in range(40):
+            n, steps = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            step_dim = int(rng.choice([1, 3]))
+            M = int(rng.integers(1, steps + 4))
+            longer_memory += M > steps
+            paths = rng.standard_normal((n, steps, step_dim))
+            given = paths[:, :, 0] if step_dim == 1 else paths  # scalar steps may be 2-D
+            grid = cno.TimeGrid(np.arange(steps, dtype=np.float64))
+            ds = cno.windows_from_paths(given, rng.standard_normal((n, steps)), grid,
+                                        M=M, step_dim=step_dim)
+            for i in range(steps):
+                for s in range(n):
+                    assert np.array_equal(ds.windows[i]["inputs"][s],
+                                          cno.build_window(paths[s], i, M, step_dim))
+        assert longer_memory > 0
+
+    def test_predict_on_a_training_path_is_the_window_forward(self):
+        rng = RNG(8)
+        T, M, step_dim = 4, 3, 3
+        paths = rng.random((32, T, step_dim))
+        grid = cno.TimeGrid(np.arange(T, dtype=np.float64))
+        ds = cno.windows_from_paths(paths, paths.sum(axis=2), grid, M=M, step_dim=step_dim)
+        model, _ = cno.construct_cno(ds, eps_D=0.5, eps_A=0.5, Q=4, delta=0.5,
+                                     seed=0, train_opts={"epochs": 5})
+        thetas = weave.rollout(model.weave_model, T)
+        for s in range(8):
+            outs = cno.predict(model, paths[s])
+            for i in range(T):
+                direct = net.forward(model.synced_spec, thetas[i], ds.windows[i]["inputs"][s])
+                assert np.array_equal(outs[i], direct)
+
 
 class TestConstruct:
     def test_single_window_degenerates_to_filter(self):

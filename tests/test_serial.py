@@ -1,5 +1,7 @@
 """Binary formats and bundle integrity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,22 @@ class TestBundle:
         f1 = serial.verify_bundle(str(out1))["files"]
         f2 = serial.verify_bundle(str(out2))["files"]
         assert f1 == f2  # identical configs give identical artifact hashes
+
+    def test_manifest_must_list_exactly_the_bundle_files(self, tmp_path):
+        out = tmp_path / "bundle"
+        serial.save_bundle(str(out), small_model())
+        (out / "extra.txt").write_text("x")
+        for files in ([], ["weave.bin"], ["weave.bin", "model.json", "extra.txt"]):
+            serial.write_manifest(str(out), {}, files, {})
+            with pytest.raises(IntegrityError, match="must list exactly"):
+                serial.verify_bundle(str(out))
+
+    def test_param_count_disagreement_detected(self, tmp_path):
+        out = tmp_path / "bundle"
+        serial.save_bundle(str(out), small_model())
+        meta = json.loads((out / "model.json").read_text())
+        meta["synced_dims"][1] += 1
+        (out / "model.json").write_text(json.dumps(meta))
+        serial.write_manifest(str(out), {}, serial.BUNDLE_FILES, {})  # hashes match again
+        with pytest.raises(IntegrityError, match="synced dims"):
+            serial.load_bundle(str(out))

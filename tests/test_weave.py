@@ -1,6 +1,7 @@
 """Packings, aspect ratios, exact memorization, and the dynamic weave."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ class TestBuildWeave:
             weave.rollout(w, 5)
         with pytest.raises(InvalidArgumentError):
             weave.rollout(w, 0)
+
+    def test_peak_memory_below_a_pairwise_broadcast(self):
+        # a T x T x P difference array alone would take T^2 * P * 8 bytes
+        T, P = 32, 4096
+        thetas = RNG(11).standard_normal((T, P))
+        tracemalloc.start()
+        try:
+            weave.build_weave(thetas, Q=8, delta=0.5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * T * P * 8
 
 
 class TestTable2:
