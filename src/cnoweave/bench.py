@@ -171,10 +171,7 @@ def compare(target: RecursiveTarget, eps_A: float, budgets, seed: int = 0,
                 delta=float(b.get("delta", 0.5)), seed=seed,
                 dims=(M,) + tuple(b["dims"]) + (1,), train_opts=opts,
             )
-            preds = np.array([
-                cno.predict(model, z_test[s][:, None])[-1][0]
-                for s in range(n_test)
-            ])
+            preds = cno.predict_paths(model, z_test[:, :, None])[:, -1, 0]
             err = float(np.max(np.abs(preds - y_test)))
             rows.append({
                 "model": f"cno(M={M},h={tuple(b['dims'])})",

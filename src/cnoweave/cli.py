@@ -3,7 +3,7 @@ stage of the pipeline, and writes its artifacts plus a manifest (config hash,
 file hashes, timings) into an output directory.
 
 Exit codes: 0 ok, 2 config error, 3 budget infeasible, 4 training shortfall,
-5 integrity failure.
+5 integrity failure, 6 training or simulation diverged.
 
 The output directory is taken from the config's ``out_dir`` or, failing that,
 the ``CNOWEAVE_OUT`` environment variable.  Identical configs produce
@@ -29,7 +29,9 @@ from .errors import (
     ConfigError,
     IntegrityError,
     InvalidArgumentError,
+    OracleDivergedError,
     PackingInfeasibleError,
+    TrainingDivergedError,
     TrainingShortfallError,
 )
 from .regularity import Holder, Smooth
@@ -39,6 +41,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_SHORTFALL = 4
 EXIT_INTEGRITY = 5
+EXIT_DIVERGED = 6
 
 SCHEMA_VERSION = serial.SCHEMA_VERSION
 
@@ -445,6 +448,9 @@ def main(argv=None) -> int:
     except TrainingShortfallError as e:
         print(f"training shortfall: {e}", file=sys.stderr)
         return EXIT_SHORTFALL
+    except (TrainingDivergedError, OracleDivergedError) as e:
+        print(f"diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
     except IntegrityError as e:
         print(f"integrity failure: {e}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -7,7 +7,8 @@ at step i is the concatenation of the last M per-step coordinate vectors
 coordinates at step i.  Construction trains one filter core per window in
 parallel, pads all cores to the per-layer maximum shape, and stores the
 padded parameter sequence in a weave model; prediction reads each window's
-parameters back through the weave rollout, never consulting future inputs.
+parameters back through the weave rollout, decoded once per model, and never
+consults future inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "build_window",
     "construct_cno",
     "predict",
+    "predict_paths",
     "causality_audit",
 ]
 
@@ -124,6 +127,16 @@ class CnoModel:
     @property
     def horizon(self):
         return self.weave_model.T
+
+    @cached_property
+    def filters(self) -> tuple:
+        """Each window's filter parameters, read-only, decoded from the weave
+        on first use.  They do not depend on the input path, so one rollout
+        serves every prediction the model makes."""
+        thetas = weave.rollout(self.weave_model, self.horizon)
+        for theta in thetas:
+            theta.setflags(write=False)
+        return tuple(thetas)
 
 
 def memory_for(eps_A: float, r: float, c_mem: float = 1.0) -> int:
@@ -280,10 +293,11 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     return model, reports
 
 
-def predict(model: CnoModel, x_path, horizon: int = None):
-    """Causal rollout: per step, read the window's parameters from the weave
-    and evaluate the filter on the trailing window only."""
-    paths = _as_paths([x_path], model.step_dim)
+def predict_paths(model: CnoModel, paths, horizon: int = None) -> np.ndarray:
+    """Causal rollout of a batch of paths, shaped (n_paths, horizon, out_dim):
+    per step, one filter forward over every path's trailing window, with
+    that window's parameters from the model's decoded weave."""
+    paths = _as_paths(paths, model.step_dim)
     if horizon is None:
         horizon = model.horizon
     if horizon < 1 or horizon > model.horizon:
@@ -294,20 +308,29 @@ def predict(model: CnoModel, x_path, horizon: int = None):
         raise InvalidArgumentError(
             f"path has {paths.shape[1]} steps, need at least {horizon}"
         )
-    windows = _windows(paths[:, :horizon], model.M)[0]
-    thetas = weave.rollout(model.weave_model, horizon)
-    return [net.forward(model.synced_spec, thetas[i], windows[i]) for i in range(horizon)]
+    # window every step the model serves, not only the first horizon, so that
+    # a window reading ahead would change the outputs the causality audit checks
+    windows = _windows(paths[:, : model.horizon], model.M)
+    out = np.empty((len(paths), horizon, model.synced_spec.d_out))
+    for i in range(horizon):
+        out[:, i] = net.forward(model.synced_spec, model.filters[i], windows[:, i])
+    return out
+
+
+def predict(model: CnoModel, x_path, horizon: int = None):
+    """Causal rollout of one path: a list of the per-step outputs."""
+    return list(predict_paths(model, [x_path], horizon)[0])
 
 
 def causality_audit(model: CnoModel, x_path_a, x_path_b, i: int) -> bool:
     """True iff outputs up to step i are bit-identical when only the future
-    (steps > i) differs between the two paths."""
+    (steps > i) differs between the two paths.  Both paths run through one
+    batched call, so the same arithmetic serves both rows."""
     a = np.asarray(x_path_a, dtype=np.float64)
     b = np.asarray(x_path_b, dtype=np.float64)
     if a.shape != b.shape:
         raise InvalidArgumentError("paths must share a shape")
     if not np.array_equal(a[: i + 1], b[: i + 1]):
         raise InvalidArgumentError("paths must agree on steps <= i")
-    out_a = predict(model, a, horizon=i + 1)
-    out_b = predict(model, b, horizon=i + 1)
-    return all(np.array_equal(x, y) for x, y in zip(out_a, out_b))
+    out = predict_paths(model, [a, b], horizon=i + 1)
+    return bool(np.array_equal(out[0], out[1]))

@@ -1,11 +1,13 @@
 """Binary persistence for networks, weaves, and model bundles.
 
 Formats are versioned and bit-exact on round trip: a magic line, one JSON
-header line, then little-endian 8-byte floats in flat layout order.
+header line, then little-endian 8-byte floats in flat layout order.  Every
+way a stored file can be malformed raises :class:`IntegrityError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -49,6 +51,28 @@ def sha256_file(path: str) -> str:
         return sha256_bytes(fh.read())
 
 
+def _parse_json(data: bytes, where: str) -> dict:
+    """The JSON object in ``data``; anything else is an IntegrityError naming
+    ``where``."""
+    try:
+        obj = json.loads(data)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"{where}: not JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise IntegrityError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+@contextlib.contextmanager
+def _fields_of(where: str):
+    """Report a missing, ill-typed or invalid stored field read inside the
+    block as an IntegrityError naming ``where``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise IntegrityError(f"{where}: malformed field ({type(e).__name__}: {e})") from e
+
+
 def _floats_to_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
@@ -72,10 +96,11 @@ def load_net(path: str):
         magic = fh.readline()
         if magic != NET_MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode())
+        header = _parse_json(fh.readline(), path)
         if header.get("schema_version") != SCHEMA_VERSION:
             raise IntegrityError(f"{path}: unknown schema {header.get('schema_version')}")
-        spec = net.NetSpec(tuple(header["dims"]), header["activation"])
+        with _fields_of(path):
+            spec = net.NetSpec(tuple(header["dims"]), header["activation"])
         data = fh.read()
     count = net.param_count(spec)
     if len(data) != 8 * count:
@@ -104,30 +129,31 @@ def load_weave(path: str) -> weave.WeaveModel:
         magic = fh.readline()
         if magic != WEAVE_MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode())
+        header = _parse_json(fh.readline(), path)
         if header.get("schema_version") != SCHEMA_VERSION:
             raise IntegrityError(f"{path}: unknown schema {header.get('schema_version')}")
         data = fh.read()
-    P, Q, T = header["P"], header["Q"], header["T"]
-    hyper_spec = net.NetSpec(tuple(header["hyper_dims"]), header["hyper_activation"])
-    n_pack = T * Q
-    n_codes = T * (P + Q)
-    n_theta = net.param_count(hyper_spec)
-    expected = 8 * (n_pack + n_codes + n_theta)
-    if len(data) != expected:
-        raise IntegrityError(f"{path}: expected {expected} payload bytes, got {len(data)}")
-    pos = 0
-    points = _floats_from_bytes(data[pos:], n_pack).reshape(T, Q)
-    pos += 8 * n_pack
-    codes = _floats_from_bytes(data[pos:], n_codes).reshape(T, P + Q)
-    pos += 8 * n_codes
-    theta = _floats_from_bytes(data[pos:], n_theta)
-    packing = weave.Packing(Q, header["R"], header["delta"], points)
-    return weave.WeaveModel(
-        Q=Q, P=P, M_T=header["M_T"], delta=header["delta"], R=header["R"],
-        packing=packing, codes=codes, hyper_spec=hyper_spec, hyper_theta=theta,
-        seed=header["seed"],
-    )
+    with _fields_of(path):
+        P, Q, T = header["P"], header["Q"], header["T"]
+        hyper_spec = net.NetSpec(tuple(header["hyper_dims"]), header["hyper_activation"])
+        n_pack = T * Q
+        n_codes = T * (P + Q)
+        n_theta = net.param_count(hyper_spec)
+        expected = 8 * (n_pack + n_codes + n_theta)
+        if len(data) != expected:
+            raise IntegrityError(f"{path}: expected {expected} payload bytes, got {len(data)}")
+        pos = 0
+        points = _floats_from_bytes(data[pos:], n_pack).reshape(T, Q)
+        pos += 8 * n_pack
+        codes = _floats_from_bytes(data[pos:], n_codes).reshape(T, P + Q)
+        pos += 8 * n_codes
+        theta = _floats_from_bytes(data[pos:], n_theta)
+        packing = weave.Packing(Q, header["R"], header["delta"], points)
+        return weave.WeaveModel(
+            Q=Q, P=P, M_T=header["M_T"], delta=header["delta"], R=header["R"],
+            packing=packing, codes=codes, hyper_spec=hyper_spec, hyper_theta=theta,
+            seed=header["seed"],
+        )
 
 
 def write_manifest(out_dir: str, config: dict, files, timings: dict) -> dict:
@@ -179,11 +205,14 @@ def verify_bundle(bundle_dir: str) -> dict:
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise IntegrityError(f"{bundle_dir}: missing manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    with open(manifest_path, "rb") as fh:
+        manifest = _parse_json(fh.read(), manifest_path)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise IntegrityError(f"unknown manifest schema {manifest.get('schema_version')}")
-    files = manifest.get("files")
+    missing = sorted({"config", "config_hash", "files", "timings"} - manifest.keys())
+    if missing:
+        raise IntegrityError(f"{manifest_path}: missing keys {missing}")
+    files = manifest["files"]
     if not isinstance(files, dict) or sorted(files) != sorted(BUNDLE_FILES):
         raise IntegrityError(f"the manifest must list exactly the files {list(BUNDLE_FILES)}")
     for name, expected in files.items():
@@ -198,25 +227,26 @@ def verify_bundle(bundle_dir: str) -> dict:
 
 def load_bundle(bundle_dir: str) -> cno.CnoModel:
     verify_bundle(bundle_dir)
-    with open(os.path.join(bundle_dir, MODEL_FILE)) as fh:
-        meta = json.load(fh)
+    with open(os.path.join(bundle_dir, MODEL_FILE), "rb") as fh:
+        meta = _parse_json(fh.read(), MODEL_FILE)
     wmodel = load_weave(os.path.join(bundle_dir, WEAVE_FILE))
-    synced_spec = net.NetSpec(tuple(meta["synced_dims"]), meta["synced_activation"])
-    if net.param_count(synced_spec) != wmodel.P:
-        raise IntegrityError(
-            f"{MODEL_FILE}: synced dims hold {net.param_count(synced_spec)} parameters, "
-            f"{WEAVE_FILE} stores P={wmodel.P}"
+    with _fields_of(MODEL_FILE):
+        synced_spec = net.NetSpec(tuple(meta["synced_dims"]), meta["synced_activation"])
+        if net.param_count(synced_spec) != wmodel.P:
+            raise IntegrityError(
+                f"{MODEL_FILE}: synced dims hold {net.param_count(synced_spec)} parameters, "
+                f"{WEAVE_FILE} stores P={wmodel.P}"
+            )
+        return cno.CnoModel(
+            weave_model=wmodel,
+            synced_spec=synced_spec,
+            grid=cno.TimeGrid(np.array(meta["grid_times"])),
+            M=meta["M"],
+            step_dim=meta["step_dim"],
+            out_dim=meta["out_dim"],
+            out_spaces=[spaces.from_description(d) for d in meta["out_spaces"]],
+            reports=[cno.WindowReport(**r) for r in meta["reports"]],
+            Q=meta["Q"],
+            delta=meta["delta"],
+            seed=meta["seed"],
         )
-    return cno.CnoModel(
-        weave_model=wmodel,
-        synced_spec=synced_spec,
-        grid=cno.TimeGrid(np.array(meta["grid_times"])),
-        M=meta["M"],
-        step_dim=meta["step_dim"],
-        out_dim=meta["out_dim"],
-        out_spaces=[spaces.from_description(d) for d in meta["out_spaces"]],
-        reports=[cno.WindowReport(**r) for r in meta["reports"]],
-        Q=meta["Q"],
-        delta=meta["delta"],
-        seed=meta["seed"],
-    )

@@ -203,6 +203,8 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     ys = np.asarray([np.atleast_1d(np.asarray(p[1], dtype=np.float64)) for p in pairs])
     if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys) or len(xs) == 0:
         raise InvalidArgumentError("pairs must be a nonempty list of (x, y) vectors")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InvalidArgumentError("anchors and their targets must be finite")
     N, n = xs.shape
     d = ys.shape[1]
     if len(np.unique(xs, axis=0)) != N:
@@ -237,6 +239,8 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
 
     s_sorted = s[order]
     y_sorted = ys[order]
+    # xs >= min and beta >= -min, and rounding is monotone, so xs + beta >= 0
+    # even in floating point: the first layer's ReLU is the identity on anchors
     beta = 1.0 + max(0.0, -float(xs.min()))
     w_offset = beta * float(np.sum(w))
 
@@ -260,8 +264,6 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
 
     spec = net.NetSpec((n, width, d), "relu")
     theta = net.pack(spec, [(A0, b0, 0.0), (A1, b1, 0.0)], c)
-    # the shift trick needs every anchor coordinate strictly above -beta
-    assert np.all(xs + beta > 0)
     return Memorizer(spec, theta, width=width, width_bound=width_bound,
                      within_bound=width <= width_bound)
 
@@ -299,6 +301,8 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or len(thetas) == 0:
         raise InvalidArgumentError("thetas must be a nonempty (T, P) array")
+    if not np.all(np.isfinite(thetas)):
+        raise InvalidArgumentError("thetas must be finite")
     T, P = thetas.shape
     horizon = math.floor(delta ** (-Q))
     if T > horizon:

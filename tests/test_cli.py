@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from cnoweave import cli, serial
+from cnoweave.errors import OracleDivergedError
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -120,6 +121,36 @@ class TestExitCodes:
         (bundle / "manifest.json").write_text(json.dumps(manifest))
         (bundle / "weave.bin").unlink()
         assert run(["inspect", str(bundle)]) == 5
+
+    @pytest.mark.parametrize("text", ['{"files": ', "[]", '{"schema_version": 1}'])
+    def test_malformed_manifest_is_5(self, tmp_path, capsys, text):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "c.yaml", {
+            "T": 2, "M": 2, "n_train": 64, "hidden": [8],
+            "eps_D": 0.5, "eps_A": 0.5, "train": {"epochs": 10},
+            "out_dir": str(out),
+        })
+        assert run(["construct", cfg]) == 0
+        (out / "bundle" / "manifest.json").write_text(text)
+        assert run(["inspect", str(out / "bundle")]) == 5
+        assert "integrity failure" in capsys.readouterr().err
+
+    def test_training_divergence_is_6(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "t.yaml", {
+            "dims": [1, 8, 1], "target": "sin",
+            "train": {"epochs": 50, "lr": 1e12}, "out_dir": str(tmp_path / "o"),
+        })
+        with pytest.warns(RuntimeWarning):
+            assert run(["train-filter", cfg]) == 6
+        assert "diverged" in capsys.readouterr().err
+
+    def test_oracle_divergence_is_6(self, tmp_path, monkeypatch):
+        def diverging(cfg):
+            raise OracleDivergedError("simulation produced non-finite values", step=3)
+
+        monkeypatch.setitem(cli.COMMANDS, "sde-bench", diverging)
+        cfg = write_cfg(tmp_path, "s.yaml", {"out_dir": str(tmp_path / "o")})
+        assert run(["sde-bench", cfg]) == 6
 
 
 def test_module_entry_point_imports_cleanly():

@@ -4,7 +4,7 @@ weaving, rollout prediction, and the causality audit."""
 import numpy as np
 import pytest
 
-from cnoweave import bench, cno, net, weave
+from cnoweave import bench, cno, net, serial, weave
 from cnoweave.errors import InvalidArgumentError
 
 RNG = np.random.default_rng
@@ -231,3 +231,105 @@ class TestCausality:
     def test_shape_mismatch(self, model):
         with pytest.raises(InvalidArgumentError):
             cno.causality_audit(model, np.zeros((5, 1)), np.zeros((4, 1)), 1)
+
+    def test_audit_catches_a_window_that_sees_the_next_step(self, model, monkeypatch):
+        """Negative control: if window i also saw step i + 1, the batched
+        audit must report it."""
+        real = cno._windows
+
+        def leaky(paths, M):
+            ahead = np.concatenate([paths[:, 1:], paths[:, -1:]], axis=1)
+            return real(ahead, M)
+
+        monkeypatch.setattr(cno, "_windows", leaky)
+        rng = RNG(11)
+        a = rng.random((5, 1))
+        b = a.copy()
+        b[3:] = rng.random((2, 1))
+        assert not cno.causality_audit(model, a, b, 2)
+        monkeypatch.undo()
+        assert cno.causality_audit(model, a, b, 2)
+
+
+class TestDecodeOnce:
+    """The weave is decoded once per model, lazily, and serves every call."""
+
+    def test_one_rollout_per_model(self, monkeypatch):
+        ds = toy_dataset(T=4, M=2)
+        model, _ = cno.construct_cno(ds, eps_D=0.5, eps_A=0.5, Q=4, delta=0.5,
+                                     seed=0, train_opts={"epochs": 5})
+        calls = []
+        real = weave.rollout
+
+        def counted(w, steps):
+            calls.append(steps)
+            return real(w, steps)
+
+        monkeypatch.setattr(weave, "rollout", counted)
+        rng = RNG(4)
+        for _ in range(50):
+            cno.predict(model, rng.random((4, 1)), horizon=int(rng.integers(1, 5)))
+        for _ in range(20):
+            a = rng.random((4, 1))
+            b = a.copy()
+            b[2:] = rng.random((2, 1))
+            assert cno.causality_audit(model, a, b, 1)
+        cno.predict_paths(model, rng.random((7, 4, 1)))
+        assert calls == [model.horizon]
+
+    def test_no_decode_while_building_or_loading(self, monkeypatch, tmp_path):
+        def forbidden(w, steps):
+            raise AssertionError("rollout during construction or loading")
+
+        monkeypatch.setattr(weave, "rollout", forbidden)
+        ds = toy_dataset(T=3, M=2)
+        model, _ = cno.construct_cno(ds, eps_D=0.5, eps_A=0.5, Q=4, delta=0.5,
+                                     seed=0, train_opts={"epochs": 5})
+        serial.save_bundle(str(tmp_path / "b"), model)
+        serial.load_bundle(str(tmp_path / "b"))
+
+    def test_filters_are_the_rollout_and_read_only(self):
+        ds = toy_dataset(T=4, M=2)
+        model, _ = cno.construct_cno(ds, eps_D=0.5, eps_A=0.5, Q=4, delta=0.5,
+                                     seed=0, train_opts={"epochs": 5})
+        decoded = weave.rollout(model.weave_model, model.horizon)
+        assert len(model.filters) == model.horizon
+        for theta, expected in zip(model.filters, decoded):
+            assert np.array_equal(theta, expected)
+            with pytest.raises(ValueError):
+                theta[0] = 1.0
+        assert model.filters is model.filters
+
+
+class TestPredictPaths:
+    @pytest.mark.parametrize("step_dim", [1, 3])
+    def test_batch_agrees_with_single_paths(self, step_dim):
+        rng = RNG(9)
+        T, M = 5, 3
+        paths = rng.random((40, T, step_dim))
+        grid = cno.TimeGrid(np.arange(T, dtype=np.float64))
+        ds = cno.windows_from_paths(paths, paths.sum(axis=2), grid, M=M, step_dim=step_dim)
+        model, _ = cno.construct_cno(ds, eps_D=0.5, eps_A=0.5, Q=4, delta=0.5,
+                                     seed=0, train_opts={"epochs": 5})
+        served = rng.random((12, T, step_dim))
+        for horizon in (None, 2, T - 1):
+            batch = cno.predict_paths(model, served, horizon=horizon)
+            assert batch.shape == (12, horizon or T, model.out_dim)
+            for s, path in enumerate(served):
+                single = np.asarray(cno.predict(model, path, horizon=horizon))
+                tol = 1e-12 * np.maximum(1.0, np.abs(single))
+                assert np.all(np.abs(batch[s] - single) <= tol)
+
+    def test_scalar_steps_may_be_2d(self, audit_model):
+        paths = RNG(10).random((6, 5))
+        assert np.array_equal(cno.predict_paths(audit_model, paths),
+                              cno.predict_paths(audit_model, paths[:, :, None]))
+
+    def test_validation(self, audit_model):
+        with pytest.raises(InvalidArgumentError):
+            cno.predict_paths(audit_model, np.zeros((2, 5, 2)))
+        with pytest.raises(InvalidArgumentError):
+            cno.predict_paths(audit_model, np.zeros((2, 4, 1)))
+        with pytest.raises(InvalidArgumentError):
+            cno.predict_paths(audit_model, np.zeros((2, 5, 1)), horizon=0)
+

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cnoweave import bench, cno, net, serial, weave
 from cnoweave.errors import IntegrityError
@@ -124,3 +126,108 @@ class TestBundle:
         serial.write_manifest(str(out), {}, serial.BUNDLE_FILES, {})  # hashes match again
         with pytest.raises(IntegrityError, match="synced dims"):
             serial.load_bundle(str(out))
+
+
+def rehash(bundle):
+    """Rewrite the manifest so that its hashes match the files again."""
+    serial.write_manifest(str(bundle), {}, serial.BUNDLE_FILES, {})
+
+
+class TestMalformedFiles:
+    """Every way a stored file can be malformed is an IntegrityError."""
+
+    @pytest.mark.parametrize("text", ['{"files": ', "", "\xff", "[]", "3", "null"])
+    def test_manifest_that_is_not_a_json_object(self, tmp_path, text):
+        out = tmp_path / "bundle"
+        serial.save_bundle(str(out), small_model())
+        (out / "manifest.json").write_bytes(text.encode("latin-1"))
+        with pytest.raises(IntegrityError, match="manifest.json"):
+            serial.load_bundle(str(out))
+
+    @pytest.mark.parametrize("key", ["config", "config_hash", "files", "timings"])
+    def test_manifest_missing_a_key(self, tmp_path, key):
+        out = tmp_path / "bundle"
+        serial.save_bundle(str(out), small_model())
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(IntegrityError):
+            serial.verify_bundle(str(out))
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: "{not json",
+        lambda meta: "[1, 2]",
+        lambda meta: json.dumps({k: v for k, v in meta.items() if k != "M"}),
+        lambda meta: json.dumps({**meta, "grid_times": "abc"}),
+        lambda meta: json.dumps({**meta, "reports": [{"index": 0}]}),
+        lambda meta: json.dumps({**meta, "synced_dims": [1e999, 1]}),
+    ])
+    def test_model_json(self, tmp_path, edit):
+        out = tmp_path / "bundle"
+        serial.save_bundle(str(out), small_model())
+        meta = json.loads((out / "model.json").read_text())
+        (out / "model.json").write_text(edit(meta))
+        rehash(out)
+        with pytest.raises(IntegrityError, match="model.json"):
+            serial.load_bundle(str(out))
+
+    @pytest.mark.parametrize("header", [b"{not json", b"[]",
+                                        b'{"schema_version": 1}',
+                                        b'{"schema_version": 1, "P": 1, "Q": 1, "T": "x", '
+                                        b'"hyper_dims": [2, 2], "hyper_activation": "relu"}'])
+    def test_weave_header(self, tmp_path, header):
+        p = tmp_path / "w.bin"
+        p.write_bytes(serial.WEAVE_MAGIC + header + b"\n" + bytes(64))
+        with pytest.raises(IntegrityError, match="w.bin"):
+            serial.load_weave(str(p))
+
+    @pytest.mark.parametrize("header", [b"{not json", b'"text"', b'{"schema_version": 1}',
+                                        b'{"schema_version": 1, "dims": [0], "activation": "relu"}'])
+    def test_net_header(self, tmp_path, header):
+        p = tmp_path / "m.net"
+        p.write_bytes(serial.NET_MAGIC + header + b"\n")
+        with pytest.raises(IntegrityError, match="m.net"):
+            serial.load_net(str(p))
+
+
+@pytest.fixture(scope="module")
+def saved_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "bundle"
+    model = small_model()
+    serial.save_bundle(str(out), model)
+    return out, {name: (out / name).read_bytes()
+                 for name in ("manifest.json",) + serial.BUNDLE_FILES}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["manifest.json", "model.json", "weave.bin"]),
+       cut=st.floats(0.0, 1.0), flips=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                                         st.integers(1, 255)), max_size=3),
+       rehashed=st.booleans())
+def test_fuzzed_bundle_raises_only_integrity_errors(saved_bundle, tmp_path_factory,
+                                                    name, cut, flips, rehashed):
+    """Truncate and flip bytes of one bundle file, with or without fixing the
+    manifest's hashes: loading either raises IntegrityError or, when the
+    hashed files are intact, returns the saved model."""
+    source, files = saved_bundle
+    out = tmp_path_factory.mktemp("case")
+    blob = bytearray(files[name])
+    blob = blob[: int(cut * len(blob))] if cut < 1.0 else blob
+    for at, mask in flips:
+        if blob:
+            blob[min(int(at * len(blob)), len(blob) - 1)] ^= mask
+    for other, data in files.items():
+        (out / other).write_bytes(bytes(blob) if other == name else data)
+    if rehashed and name != "manifest.json":
+        rehash(out)
+    try:
+        loaded = serial.load_bundle(str(out))
+    except IntegrityError:
+        return
+    if name != "manifest.json" and bytes(blob) != files[name]:
+        return  # rehashed: a changed but well-formed file loads as what it says
+    reference = serial.load_bundle(str(source))
+    assert np.array_equal(loaded.weave_model.hyper_theta, reference.weave_model.hyper_theta)
+    assert np.array_equal(loaded.weave_model.codes, reference.weave_model.codes)
+    assert loaded.synced_spec == reference.synced_spec

@@ -195,3 +195,19 @@ class TestTable2:
         measured = max(w.hyper_spec.dims[1:-1])
         rep = weave.table2_report(17, 4, 0.5, 10, measured_width=measured)
         assert rep["within_width_bound"]
+
+
+class TestNonFiniteRejected:
+    def test_nan_theta(self):
+        thetas = np.random.default_rng(0).standard_normal((4, 3))
+        thetas[2, 1] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            weave.build_weave(thetas, Q=4, delta=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_or_target(self, bad):
+        x0, x1 = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            weave.memorize([(x0, [1.0]), (np.array([1.0, bad]), [2.0])])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            weave.memorize([(x0, [bad]), (x1, [2.0])])
