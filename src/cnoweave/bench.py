@@ -101,7 +101,7 @@ class TradeoffReport:
 
     def best_row(self, kind_prefix: str, min_params: int = 0):
         """Row of the given kind with the smallest error among those with at
-        least ``min_params`` parameters (median rows only, if present)."""
+        least ``min_params`` parameters, or None if there is none."""
         cands = [
             r for r in self.rows
             if r["model"].startswith(kind_prefix) and r["params"] >= min_params

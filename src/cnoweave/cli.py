@@ -2,8 +2,9 @@
 stage of the pipeline, and writes its artifacts plus a manifest (config hash,
 file hashes, timings) into an output directory.
 
-Exit codes: 0 ok, 2 config error, 3 budget infeasible, 4 training shortfall,
-5 integrity failure, 6 training or simulation diverged.
+Exit codes: 0 ok, 2 config error (a missing or ill-typed field, an unknown
+training option), 3 budget infeasible, 4 training shortfall, 5 integrity
+failure, 6 training or simulation diverged.
 
 The output directory is taken from the config's ``out_dir`` or, failing that,
 the ``CNOWEAVE_OUT`` environment variable.  Identical configs produce
@@ -44,14 +45,15 @@ EXIT_INTEGRITY = 5
 EXIT_DIVERGED = 6
 
 SCHEMA_VERSION = serial.SCHEMA_VERSION
+_REQUIRED = object()
 
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config cannot be read: {e}")
     except yaml.YAMLError as e:
         raise ConfigError(f"config does not parse: {e}")
     if not isinstance(cfg, dict):
@@ -59,196 +61,187 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing required field: {key}", field=key)
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(
-            f"field {key} must be {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
-            field=key,
-        )
+def _ints(value) -> tuple:
+    """A YAML list of ints, such as layer widths."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(map(int, value))
+
+
+def _floats(value) -> np.ndarray:
+    """A YAML number or (nested) list of numbers, as a float array."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _get(cfg: dict, key, kind, default=_REQUIRED, where: str = "", low=None):
+    """``cfg[key]`` read as ``kind``: int, float and a converter such as
+    :func:`_ints` convert the value, any other type must match it as parsed.
+    A missing or null field takes ``default``.  With no default, a value that
+    does not convert, or one below ``low``, raise ConfigError naming the
+    field ``where + key``."""
+    name = f"{where}{key}"
+    value = cfg.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field: {name}", field=name)
+        return default
+    try:
+        if kind in (int, float) or not isinstance(kind, type):
+            value = kind(value)
+        elif not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        if low is not None and value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"field {name} is invalid: {e}", field=name) from e
     return value
 
 
 def _out_dir(cfg: dict) -> str:
-    out = cfg.get("out_dir") or os.environ.get("CNOWEAVE_OUT")
+    out = _get(cfg, "out_dir", str, None) or os.environ.get("CNOWEAVE_OUT")
     if not out:
         raise ConfigError("no out_dir in config and CNOWEAVE_OUT unset", field="out_dir")
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _write_json(path: str, obj):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+def _hidden_width(w: weave.WeaveModel) -> int:
+    """The hypernetwork's widest hidden layer (its output width if it has none)."""
+    dims = w.hyper_spec.dims
+    return max(dims[1:-1]) if w.hyper_spec.depth > 1 else dims[-1]
 
 
 def _regularity_from(cfg: dict):
-    reg = _require(cfg, "regularity", dict)
-    kind = _require(reg, "kind", str)
+    reg = _get(cfg, "regularity", dict)
+    kind = _get(reg, "kind", str, where="regularity.")
     if kind == "holder":
-        return Holder(float(_require(reg, "alpha")))
+        return Holder(_get(reg, "alpha", float, where="regularity."))
     if kind == "smooth":
-        return Smooth(int(_require(reg, "k")))
+        return Smooth(_get(reg, "k", int, where="regularity."))
     raise ConfigError(f"regularity.kind must be holder|smooth, got {kind}",
                       field="regularity.kind")
 
 
-def cmd_budget(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
+def cmd_budget(cfg: dict):
     reg = _regularity_from(cfg)
     binput = filters.BudgetInput(
-        eps_D=float(_require(cfg, "eps_D")),
-        eps_A=float(_require(cfg, "eps_A")),
-        lam=float(cfg.get("lam", 1.0)),
+        eps_D=_get(cfg, "eps_D", float),
+        eps_A=_get(cfg, "eps_A", float),
+        lam=_get(cfg, "lam", float, 1.0),
         regularity=reg,
-        n_in=int(_require(cfg, "n_in")),
-        n_out=int(_require(cfg, "n_out")),
-        C_fbar=float(cfg.get("C_fbar", 1.0)),
+        n_in=_get(cfg, "n_in", int),
+        n_out=_get(cfg, "n_out", int),
+        C_fbar=_get(cfg, "C_fbar", float, 1.0),
     )
     budget = (filters.budget_holder if isinstance(reg, Holder)
               else filters.budget_smooth)(binput)
-    result = {"schema_version": SCHEMA_VERSION, "budget": budget.as_dict()}
-    if "table2" in cfg:
-        t2 = cfg["table2"]
+    result = {"budget": budget.as_dict()}
+    t2 = _get(cfg, "table2", dict, None)
+    if t2 is not None:
         result["table2"] = weave.table2_report(
-            P=int(_require(t2, "P")), Q=int(_require(t2, "Q")),
-            delta=float(_require(t2, "delta")), T=int(_require(t2, "T")),
+            P=_get(t2, "P", int, where="table2."), Q=_get(t2, "Q", int, where="table2."),
+            delta=_get(t2, "delta", float, where="table2."),
+            T=_get(t2, "T", int, where="table2."),
         )
-    _write_json(os.path.join(out, "budget.json"), result)
-    serial.write_manifest(out, cfg, ["budget.json"],
-                          {"total_s": time.perf_counter() - t0})
-    print(json.dumps(result, sort_keys=True))
-    return EXIT_OK
+    return {"budget.json": result}, None
 
 
 def _toy_dataset(cfg: dict, rng):
     """Sampled (x, y) pairs for the built-in scalar targets."""
-    target = cfg.get("target", "linear")
-    n = int(cfg.get("n_samples", 512))
-    d_in = int(cfg.get("d_in", 1))
-    x = rng.random((n, d_in))
+    target = _get(cfg, "target", str, "linear")
+    d_in = _get(cfg, "d_in", int, 1, low=1)
+    x = rng.random((_get(cfg, "n_samples", int, 512, low=1), d_in))
     if target == "linear":
         w = np.arange(1, d_in + 1, dtype=np.float64)
         y = x @ w
     elif target == "sin":
         y = np.sin(np.pi * x).sum(axis=1)
     else:
-        raise ConfigError(f"unknown target {target!r}", field="target")
+        raise ConfigError(f"target must be linear|sin, got {target!r}", field="target")
     return x, y[:, None]
 
 
-def cmd_train_filter(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    x, y = _toy_dataset(cfg, rng)
-    dims = tuple(_require(cfg, "dims", list))
-    spec = net.NetSpec(dims, cfg.get("activation", "relu"))
-    opts = dict(cfg.get("train", {}))
-    opts["seed"] = seed
+def cmd_train_filter(cfg: dict):
+    seed = _get(cfg, "seed", int, 0, low=0)
+    x, y = _toy_dataset(cfg, np.random.default_rng(seed))
+    spec = net.NetSpec(_get(cfg, "dims", _ints),
+                       _get(cfg, "activation", str, "relu"))
+    opts = {**_get(cfg, "train", dict, {}), "seed": seed}
     theta, trace = net.train(spec, (x, y), opts)
-    pred = net.forward(spec, theta, x)
-    err = float(np.max(np.abs(pred - y)))
-    gate = cfg.get("gate")
-    serial.save_net(os.path.join(out, "filter.net"), spec, theta)
+    err = float(np.max(np.abs(net.forward(spec, theta, x) - y)))
+    gate = _get(cfg, "gate", float, None)
+    serial.save_net(os.path.join(_out_dir(cfg), "filter.net"), spec, theta)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "dims": list(dims),
+        "dims": list(spec.dims),
         "param_count": net.param_count(spec),
         "final_loss": trace[-1] if trace else None,
         "max_train_error": err,
         "gate": gate,
-        "shortfall": bool(gate is not None and not err < float(gate)),
+        "shortfall": gate is not None and not err < gate,
     }
-    _write_json(os.path.join(out, "train_report.json"), report)
-    serial.write_manifest(out, cfg, ["filter.net", "train_report.json"],
-                          {"total_s": time.perf_counter() - t0})
-    print(json.dumps(report, sort_keys=True))
-    if report["shortfall"]:
-        raise TrainingShortfallError("training did not reach the gate",
-                                     achieved=err, gate=gate)
-    return EXIT_OK
+    failure = (TrainingShortfallError("training did not reach the gate",
+                                      achieved=err, gate=gate)
+               if report["shortfall"] else None)
+    return {"filter.net": None, "train_report.json": report}, failure
+
+
+def _shortfall(reports):
+    """The error for windows that missed their gate, or None if none did."""
+    missed = [r.index for r in reports if r.shortfall]
+    if missed:
+        return TrainingShortfallError(f"windows {missed} missed the gate",
+                                      achieved=max(r.error for r in reports),
+                                      gate=reports[0].gate)
+    return None
 
 
 def _construct_from_config(cfg: dict):
-    seed = int(cfg.get("seed", 0))
-    T = int(cfg.get("T", 8))
-    target = bench.RecursiveTarget(T=T, G=cfg.get("G", "mean"))
+    seed = _get(cfg, "seed", int, 0, low=0)
+    T = _get(cfg, "T", int, 8, low=1)
+    target = bench.RecursiveTarget(T=T, G=_get(cfg, "G", str, "mean"))
     rng = np.random.default_rng(seed)
-    n_train = int(cfg.get("n_train", 1000))
-    z = rng.random((n_train, T))
+    z = rng.random((_get(cfg, "n_train", int, 1000, low=1), T))
     path = bench.recursive_path(target, z)
     grid = cno.TimeGrid(np.arange(T, dtype=np.float64))
-    M = int(cfg.get("M", min(T, 6)))
+    M = _get(cfg, "M", int, min(T, 6), low=1)
     ds = cno.windows_from_paths(z, path, grid, M=M, step_dim=1)
-    hidden = tuple(cfg.get("hidden", [16]))
-    model, reports = cno.construct_cno(
+    return cno.construct_cno(
         ds,
-        eps_D=float(cfg.get("eps_D", 0.05)),
-        eps_A=float(cfg.get("eps_A", 0.05)),
-        Q=int(cfg.get("Q", 4)),
-        delta=float(cfg.get("delta", 0.5)),
+        eps_D=_get(cfg, "eps_D", float, 0.05),
+        eps_A=_get(cfg, "eps_A", float, 0.05),
+        Q=_get(cfg, "Q", int, 4, low=1),
+        delta=_get(cfg, "delta", float, 0.5),
         seed=seed,
-        dims=(M,) + hidden + (1,),
-        train_opts=dict(cfg.get("train", {})),
+        dims=(M,) + _get(cfg, "hidden", _ints, (16,)) + (1,),
+        train_opts=_get(cfg, "train", dict, {}),
     )
-    return model, reports
 
 
-def cmd_construct(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_construct(cfg: dict):
     t0 = time.perf_counter()
     model, reports = _construct_from_config(cfg)
-    serial.save_bundle(os.path.join(out, "bundle"), model, config=cfg,
+    serial.save_bundle(os.path.join(_out_dir(cfg), "bundle"), model, config=cfg,
                        timings={"total_s": time.perf_counter() - t0})
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "windows": len(reports),
         "max_window_error": max(r.error for r in reports),
         "gate": reports[0].gate,
         "shortfalls": [r.index for r in reports if r.shortfall],
     }
-    _write_json(os.path.join(out, "construct_report.json"), summary)
-    serial.write_manifest(out, cfg, ["construct_report.json"],
-                          {"total_s": time.perf_counter() - t0})
-    print(json.dumps(summary, sort_keys=True))
-    if summary["shortfalls"]:
-        raise TrainingShortfallError(
-            f"windows {summary['shortfalls']} missed the gate",
-            achieved=summary["max_window_error"], gate=summary["gate"],
-        )
-    return EXIT_OK
+    return {"construct_report.json": summary}, _shortfall(reports)
 
 
-def cmd_predict(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    model = serial.load_bundle(_require(cfg, "bundle", str))
-    path_cfg = _require(cfg, "path", list)
-    x_path = np.asarray(path_cfg, dtype=np.float64)
-    outputs = cno.predict(model, x_path, horizon=cfg.get("horizon"))
-    result = {
-        "schema_version": SCHEMA_VERSION,
-        "outputs": [o.tolist() for o in outputs],
-    }
-    _write_json(os.path.join(out, "predictions.json"), result)
-    serial.write_manifest(out, cfg, ["predictions.json"],
-                          {"total_s": time.perf_counter() - t0})
-    print(json.dumps(result, sort_keys=True))
-    return EXIT_OK
+def cmd_predict(cfg: dict):
+    model = serial.load_bundle(_get(cfg, "bundle", str))
+    outputs = cno.predict(model, _get(cfg, "path", _floats),
+                          horizon=_get(cfg, "horizon", int, None, low=1))
+    return {"predictions.json": {"outputs": [o.tolist() for o in outputs]}}, None
 
 
-def cmd_audit(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    model = serial.load_bundle(_require(cfg, "bundle", str))
-    seed = int(cfg.get("seed", 0))
-    n_pairs = int(cfg.get("n_pairs", 100))
-    rng = np.random.default_rng(seed)
+def cmd_audit(cfg: dict):
+    model = serial.load_bundle(_get(cfg, "bundle", str))
+    n_pairs = _get(cfg, "n_pairs", int, 100, low=0)
+    rng = np.random.default_rng(_get(cfg, "seed", int, 0, low=0))
     horizon = model.horizon
     passed = 0
     for _ in range(n_pairs):
@@ -259,117 +252,96 @@ def cmd_audit(cfg: dict) -> int:
             b[i + 1:] = rng.random((horizon - i - 1, model.step_dim))
         if cno.causality_audit(model, a, b, i):
             passed += 1
-    result = {
-        "schema_version": SCHEMA_VERSION,
-        "pairs": n_pairs,
-        "passed": passed,
-        "ok": passed == n_pairs,
-    }
-    _write_json(os.path.join(out, "audit.json"), result)
-    serial.write_manifest(out, cfg, ["audit.json"], {"total_s": time.perf_counter() - t0})
-    print(json.dumps(result, sort_keys=True))
-    return EXIT_OK if result["ok"] else EXIT_INTEGRITY
+    result = {"pairs": n_pairs, "passed": passed, "ok": passed == n_pairs}
+    failure = (None if result["ok"] else
+               IntegrityError(f"{n_pairs - passed} of {n_pairs} audit pairs not bit-exact"))
+    return {"audit.json": result}, failure
 
 
-def cmd_weave_test(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    seed = int(cfg.get("seed", 0))
-    P = int(cfg.get("P", 17))
-    Q = int(cfg.get("Q", 4))
-    T = int(cfg.get("T", 16))
-    delta = float(cfg.get("delta", 0.5))
-    rng = np.random.default_rng(seed)
-    thetas = rng.standard_normal((T, P))
+def cmd_weave_test(cfg: dict):
+    seed = _get(cfg, "seed", int, 0, low=0)
+    P = _get(cfg, "P", int, 17, low=1)
+    Q = _get(cfg, "Q", int, 4, low=1)
+    T = _get(cfg, "T", int, 16, low=1)
+    delta = _get(cfg, "delta", float, 0.5)
+    thetas = np.random.default_rng(seed).standard_normal((T, P))
     w = weave.build_weave(thetas, Q=Q, delta=delta, seed=seed)
     recovered = weave.rollout(w, T)
     scale = max(1.0, float(np.abs(thetas).max()))
     max_rel = max(
         float(np.max(np.abs(recovered[t] - thetas[t]))) / scale for t in range(T)
     )
-    hidden_width = max(w.hyper_spec.dims[1:-1]) if w.hyper_spec.depth > 1 else w.hyper_spec.dims[-1]
     result = {
-        "schema_version": SCHEMA_VERSION,
         "P": P, "Q": Q, "T": T, "delta": delta, "M_T": w.M_T,
         "max_relative_rollout_error": max_rel,
         "packing_min_separation": w.packing.min_separation(),
         "aspect_ratio": weave.aspect_ratio(w.codes),
         "aspect_bound": (1 + 4 * w.R ** 2) ** 0.5 / delta,
-        "table2": weave.table2_report(P, Q, delta, T, measured_width=hidden_width),
+        "table2": weave.table2_report(P, Q, delta, T, measured_width=_hidden_width(w)),
     }
-    _write_json(os.path.join(out, "weave_test.json"), result)
-    serial.write_manifest(out, cfg, ["weave_test.json"], {"total_s": time.perf_counter() - t0})
-    print(json.dumps(result, sort_keys=True))
-    return EXIT_OK
+    return {"weave_test.json": result}, None
 
 
-def cmd_sde_bench(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    seed = int(cfg.get("seed", 0))
-    n_modes = int(cfg.get("n_modes", 8))
-    coeffs = sde.ou_coeffs(rate=float(cfg.get("rate", 1.0)),
-                           sigma=float(cfg.get("sigma", 0.5)))
-    dt_step = float(cfg.get("dt", 0.25))
-    n_grid = int(cfg.get("grid_steps", 4))
-    grid = cno.TimeGrid(dt_step * np.arange(n_grid + 1))
+def cmd_sde_bench(cfg: dict):
+    seed = _get(cfg, "seed", int, 0, low=0)
+    n_modes = _get(cfg, "n_modes", int, 8, low=1)
+    coeffs = sde.ou_coeffs(rate=_get(cfg, "rate", float, 1.0),
+                           sigma=_get(cfg, "sigma", float, 0.5))
+    n_grid = _get(cfg, "grid_steps", int, 4, low=1)
+    grid = cno.TimeGrid(_get(cfg, "dt", float, 0.25) * np.arange(n_grid + 1))
     oracle = sde.McOracle(
-        n_paths=int(cfg.get("n_paths", 4000)),
-        n_steps=int(cfg.get("n_steps", 128)),
+        n_paths=_get(cfg, "n_paths", int, 4000, low=1),
+        n_steps=_get(cfg, "n_steps", int, 128, low=1),
         seed=seed,
-        tamed=bool(cfg.get("tamed", True)),
+        tamed=_get(cfg, "tamed", bool, True),
     )
     ds = sde.build_sde_dataset(
-        coeffs, grid, tuple(cfg.get("init_box", [-1.0, 1.0])), oracle,
-        n_modes=n_modes, n_orbit_samples=int(cfg.get("n_orbit_samples", 24)),
+        coeffs, grid, _get(cfg, "init_box", _floats, (-1.0, 1.0)), oracle,
+        n_modes=n_modes, n_orbit_samples=_get(cfg, "n_orbit_samples", int, 24, low=1),
         seed=seed,
     )
-    hidden = tuple(cfg.get("hidden", [32]))
     dim = 1 + n_modes
     model, reports = cno.construct_cno(
-        ds, eps_D=float(cfg.get("eps_D", 0.02)), eps_A=float(cfg.get("eps_A", 0.08)),
-        Q=int(cfg.get("Q", 4)), delta=float(cfg.get("delta", 0.5)), seed=seed,
-        dims=(dim,) + hidden + (dim,), train_opts=dict(cfg.get("train", {})),
+        ds, eps_D=_get(cfg, "eps_D", float, 0.02), eps_A=_get(cfg, "eps_A", float, 0.08),
+        Q=_get(cfg, "Q", int, 4, low=1), delta=_get(cfg, "delta", float, 0.5), seed=seed,
+        dims=(dim,) + _get(cfg, "hidden", _ints, (32,)) + (dim,),
+        train_opts=_get(cfg, "train", dict, {}),
     )
     lines = ["window,error,gate,shortfall"]
     for r in reports:
         lines.append(f"{r.index},{r.error:.10g},{r.gate:.10g},{int(r.shortfall)}")
-    csv_text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "sde_bench.csv"), "w") as fh:
-        fh.write(csv_text)
-    serial.write_manifest(out, cfg, ["sde_bench.csv"], {"total_s": time.perf_counter() - t0})
-    print(csv_text)
-    if any(r.shortfall for r in reports):
-        raise TrainingShortfallError(
-            "some SDE windows missed the gate",
-            achieved=max(r.error for r in reports), gate=reports[0].gate,
-        )
-    return EXIT_OK
+    return {"sde_bench.csv": "\n".join(lines) + "\n"}, _shortfall(reports)
 
 
-def cmd_compare_rnn(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
-    seed = int(cfg.get("seed", 0))
-    T = int(cfg.get("T", 6))
-    target = bench.RecursiveTarget(T=T, G=cfg.get("G", "mean"))
-    budgets = cfg.get("budgets") or [
+def _budget_entry(entries: dict, i: int) -> dict:
+    """Entry i of the ``budgets`` list (``entries`` by index), typed for
+    :func:`bench.compare`."""
+    entry = _get(entries, i, dict, where="budgets.")
+    kinds = {"kind": str, "dims": _ints, "M": int, "Q": int, "delta": float}
+    return {key: _get(entry, key, kind, where=f"budgets.{i}.")
+            for key, kind in kinds.items() if key in ("kind", "dims") or key in entry}
+
+
+def cmd_compare_rnn(cfg: dict):
+    seed = _get(cfg, "seed", int, 0, low=0)
+    T = _get(cfg, "T", int, 6, low=1)
+    target = bench.RecursiveTarget(T=T, G=_get(cfg, "G", str, "mean"))
+    entries = dict(enumerate(_get(cfg, "budgets", list, None) or [
         {"kind": "ffnn", "dims": [T, 8, 1]},
         {"kind": "ffnn", "dims": [T, 32, 1]},
         {"kind": "ffnn", "dims": [T, 128, 1]},
         {"kind": "ffnn", "dims": [T, 256, 1]},
         {"kind": "cno", "dims": [8], "M": T},
         {"kind": "cno", "dims": [16], "M": T},
-    ]
-    report = bench.compare(target, eps_A=float(cfg.get("eps_A", 0.05)),
-                           budgets=budgets, seed=seed,
-                           train_opts=dict(cfg.get("train", {})))
-    with open(os.path.join(out, "tradeoff.csv"), "w") as fh:
-        fh.write(report.to_csv())
+    ]))
+    report = bench.compare(
+        target, eps_A=_get(cfg, "eps_A", float, 0.05),
+        budgets=[_budget_entry(entries, i) for i in entries],
+        seed=seed, train_opts=_get(cfg, "train", dict, {}),
+    )
     best_cno = report.best_row("cno")
     best_ffnn = report.best_row("ffnn", min_params=best_cno["params"] if best_cno else 0)
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "directional": True,
         "best_cno": best_cno,
         "best_ffnn_at_or_above": best_ffnn,
@@ -377,35 +349,27 @@ def cmd_compare_rnn(cfg: dict) -> int:
             best_cno and best_ffnn and best_cno["max_err"] <= best_ffnn["max_err"]
         ),
     }
-    _write_json(os.path.join(out, "tradeoff_summary.json"), summary)
-    serial.write_manifest(out, cfg, ["tradeoff.csv", "tradeoff_summary.json"],
-                          {"total_s": time.perf_counter() - t0})
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return {"tradeoff.csv": report.to_csv(), "tradeoff_summary.json": summary}, None
 
 
-def cmd_inspect(args_bundle: str) -> int:
-    manifest = serial.verify_bundle(args_bundle)
-    model = serial.load_bundle(args_bundle)
+def cmd_inspect(bundle_dir: str) -> dict:
+    manifest = serial.verify_bundle(bundle_dir)
+    model = serial.load_bundle(bundle_dir)
     w = model.weave_model
-    hidden_width = (max(w.hyper_spec.dims[1:-1])
-                    if w.hyper_spec.depth > 1 else w.hyper_spec.dims[-1])
-    summary = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "synced_dims": list(model.synced_spec.dims),
         "P": net.param_count(model.synced_spec),
         "Q": model.Q,
         "delta": model.delta,
-        "I_delta_Q": int(model.delta ** (-model.Q)),
+        "I_delta_Q": weave.viable_horizon(model.Q, model.delta),
         "T": w.T,
         "M_T": w.M_T,
         "packing_min_separation": w.packing.min_separation(),
         "table2": weave.table2_report(w.P, w.Q, w.delta, w.T,
-                                      measured_width=hidden_width),
+                                      measured_width=_hidden_width(w)),
         "config_hash": manifest["config_hash"],
     }
-    print(json.dumps(summary, sort_keys=True, indent=2))
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -418,6 +382,36 @@ COMMANDS = {
     "sde-bench": cmd_sde_bench,
     "compare-rnn": cmd_compare_rnn,
 }
+
+
+def _run(command: str, cfg: dict) -> int:
+    """Run one config subcommand and write what it returns.
+
+    The command returns ``(artifacts, failure)``: ``artifacts`` maps each file
+    name to a JSON object (stamped with the schema version), to text, or to
+    None for a file the command wrote itself.  The runner writes them and the
+    manifest, echoes the last artifact, and only then raises ``failure``."""
+    out = _out_dir(cfg)
+    t0 = time.perf_counter()
+    artifacts, failure = COMMANDS[command](cfg)
+    echo = None
+    for name, payload in artifacts.items():
+        if payload is None:
+            continue
+        if isinstance(payload, dict):
+            payload = {"schema_version": SCHEMA_VERSION, **payload}
+            text, echo = (json.dumps(payload, sort_keys=True, indent=2),
+                          json.dumps(payload, sort_keys=True))
+        else:
+            text = echo = payload
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
+    serial.write_manifest(out, cfg, list(artifacts),
+                          {"total_s": time.perf_counter() - t0})
+    print(echo)
+    if failure is not None:
+        raise failure
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -435,12 +429,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "inspect":
-            return cmd_inspect(args.bundle)
-        cfg = _load_config(args.config)
-        return COMMANDS[args.command](cfg)
-    except ConfigError as e:
-        print(f"config error: {e}" + (f" (field {e.field})" if e.field else ""),
-              file=sys.stderr)
+            print(json.dumps(cmd_inspect(args.bundle), sort_keys=True, indent=2))
+            return EXIT_OK
+        return _run(args.command, _load_config(args.config))
+    except (ConfigError, InvalidArgumentError) as e:
+        print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (BudgetInfeasibleError, BudgetOverflowError, PackingInfeasibleError) as e:
         print(f"budget infeasible: {e}", file=sys.stderr)
@@ -454,9 +447,6 @@ def main(argv=None) -> int:
     except IntegrityError as e:
         print(f"integrity failure: {e}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except InvalidArgumentError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except CnoweaveError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTEGRITY

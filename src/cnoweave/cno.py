@@ -1,14 +1,13 @@
-"""End-to-end causal construction: per-window filter training, padding to a
-common shape, weaving the parameter sequence, and causal rollout prediction.
+"""End-to-end causal construction: per-window filter training, weaving the
+parameter sequence, and causal rollout prediction.
 
 A :class:`CausalDataset` presents a sequence task window by window: the input
 at step i is the concatenation of the last M per-step coordinate vectors
 (zero-padded on the left for the first steps), and the target is the output
-coordinates at step i.  Construction trains one filter core per window in
-parallel, pads all cores to the per-layer maximum shape, and stores the
-padded parameter sequence in a weave model; prediction reads each window's
-parameters back through the weave rollout, decoded once per model, and never
-consults future inputs.
+coordinates at step i.  Construction trains one filter core of a common
+shape per window, in parallel, and stores the parameter sequence in a weave
+model; prediction reads each window's parameters back through the weave
+rollout, decoded once per model, and never consults future inputs.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ __all__ = [
     "predict_paths",
     "causality_audit",
 ]
+
+_TRAIN_WORKERS = 4  # threads that train windows in construct_cno
 
 
 @dataclass(frozen=True)
@@ -217,21 +218,18 @@ def _window_seed(master: int, i: int) -> int:
 
 
 def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
-                  delta: float, seed: int = 0, dims=None, train_opts=None,
-                  max_workers: int = 4, f_oracle=None):
-    """Train one filter per window, pad to a common shape, weave, return model.
+                  delta: float, seed: int = 0, dims=None, train_opts=None):
+    """Train one filter per window, weave the parameter sequence, return model.
 
-    Per window the empirical max coordinate-space error is gated against
-    eps_A + eps_D; shortfalls are recorded in the per-window report and the
-    construction continues.  Deterministic in the seed (per-window seeds are
-    derived, so parallel scheduling cannot change results).
-
-    ``f_oracle(i, inputs) -> targets`` optionally overrides the dataset's
-    stored targets for window i (used when the causal map is available in
-    closed form rather than pre-sampled).
+    Every window trains the same ``dims``, so the filters share one shape and
+    the weave stores their parameters as trained.  Per window the empirical
+    max coordinate-space error is gated against eps_A + eps_D; shortfalls are
+    recorded in the per-window report and the construction continues.
+    Deterministic in the seed (per-window seeds are derived, so parallel
+    scheduling cannot change results).
     """
     I = ds.n_windows
-    horizon = math.floor(delta ** (-Q))
+    horizon = weave.viable_horizon(Q, delta)
     if I > horizon:
         raise InvalidArgumentError(
             f"{I} windows exceed the viable horizon floor(delta^-Q)={horizon}"
@@ -247,47 +245,32 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
         )
     gate = eps_A + eps_D
     opts = dict(train_opts or {})
+    spec = net.NetSpec(dims, "relu")
 
     def train_one(i):
         w = ds.windows[i]
         inputs = np.asarray(w["inputs"], dtype=np.float64)
         targets = np.asarray(w["targets"], dtype=np.float64)
-        if f_oracle is not None:
-            targets = np.asarray(f_oracle(i, inputs), dtype=np.float64)
         wseed = _window_seed(seed, i)
-        local = dict(opts)
-        local["seed"] = wseed
-        spec = net.NetSpec(dims, "relu")
-        theta, trace = net.train(spec, (inputs, targets), local)
+        theta, trace = net.train(spec, (inputs, targets), {**opts, "seed": wseed})
         pred = net.forward(spec, theta, inputs)
         err = float(np.max(np.linalg.norm(pred - targets, axis=1)))
         report = WindowReport(
             index=i, error=err, gate=gate, shortfall=not err < gate,
             seed=wseed, epochs=len(trace),
         )
-        return spec, theta, report
+        return theta, report
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=_TRAIN_WORKERS) as pool:
         results = list(pool.map(train_one, range(I)))
 
-    specs = [r[0] for r in results]
-    thetas = [r[1] for r in results]
-    reports = [r[2] for r in results]
-
-    # pad to the per-layer maximum shape (all windows share depth here)
-    max_depth = max(s.depth for s in specs)
-    dstar = [in_dim]
-    for j in range(1, max_depth):
-        dstar.append(max(s.dims[j] if j < s.depth else s.d_out for s in specs))
-    dstar.append(out_dim)
-    padded = [net.pad_to(s, th, tuple(dstar)) for s, th in zip(specs, thetas)]
-    synced_spec = padded[0][0]
-    theta_matrix = np.stack([p[1] for p in padded])
-
-    wmodel = weave.build_weave(theta_matrix, Q=Q, delta=delta, seed=seed)
+    wmodel = weave.build_weave(np.stack([r[0] for r in results]), Q=Q, delta=delta,
+                               seed=seed)
+    reports = [r[1] for r in results]
+    # the slopes live in theta, so a PReLU spec runs the ReLU-trained filters as trained
     model = CnoModel(
-        weave_model=wmodel, synced_spec=synced_spec, grid=ds.grid, M=ds.M,
-        step_dim=ds.step_dim, out_dim=out_dim, out_spaces=list(ds.out_spaces),
+        weave_model=wmodel, synced_spec=net.NetSpec(dims, "prelu"), grid=ds.grid,
+        M=ds.M, step_dim=ds.step_dim, out_dim=out_dim, out_spaces=list(ds.out_spaces),
         reports=reports, Q=Q, delta=delta, seed=seed,
     )
     return model, reports

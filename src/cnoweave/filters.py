@@ -154,7 +154,7 @@ class BudgetInput:
     C_fbar: float = 1.0  # smooth case only
 
     def __post_init__(self):
-        if self.eps_D <= 0 or self.eps_A <= 0 or self.lam <= 0 or self.C_fbar <= 0:
+        if not all(v > 0 for v in (self.eps_D, self.eps_A, self.lam, self.C_fbar)):
             raise InvalidArgumentError("eps_D, eps_A, lam, C_fbar must be positive")
         if self.n_in < 1 or self.n_out < 1:
             raise InvalidArgumentError("n_in and n_out must be >= 1")

@@ -379,19 +379,21 @@ def parallelize(nets) -> tuple:
     return out_spec, pack(out_spec, new_layers, c)
 
 
+TRAIN_OPTIONS = ("lr", "epochs", "seed", "batch")
+
+
 def train(spec: NetSpec, dataset, opts=None):
     """Plain (mini-batch) gradient descent on mean-squared error.
 
-    ``dataset`` is an ``(X, Y)`` pair of arrays with rows as samples.  Returns
+    ``dataset`` is an ``(X, Y)`` pair of arrays with rows as samples; ``opts``
+    sets any of :data:`TRAIN_OPTIONS`, and another key is an error.  Returns
     ``(theta, trace)`` where ``trace`` is the per-epoch loss with a running
     minimum applied (monotone, for gate checks); deterministic in the seed.
     """
     opts = dict(opts or {})
-    lr = float(opts.get("lr", 0.05))
-    epochs = int(opts.get("epochs", 200))
-    seed = int(opts.get("seed", 0))
-    batch = opts.get("batch")
-    init = opts.get("init")
+    unknown = sorted(set(opts) - set(TRAIN_OPTIONS))
+    if unknown:
+        raise InvalidArgumentError(f"unknown train option(s) {unknown}; known: {TRAIN_OPTIONS}")
 
     X, Y = dataset
     X = np.asarray(X, dtype=np.float64)
@@ -407,10 +409,18 @@ def train(spec: NetSpec, dataset, opts=None):
             f"dataset shapes {X.shape}/{Y.shape} do not match spec dims {spec.dims}"
         )
 
-    rng = np.random.default_rng(seed)
-    theta = init_params(spec, seed) if init is None else np.array(init, dtype=np.float64)
     n = X.shape[0]
-    batch = n if batch is None else min(int(batch), n)
+    try:
+        lr = float(opts.get("lr", 0.05))
+        epochs = int(opts.get("epochs", 200))
+        seed = int(opts.get("seed", 0))
+        batch = min(int(opts.get("batch", n)), n)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidArgumentError(f"ill-typed train option: {e}") from e
+    if batch < 1:
+        raise InvalidArgumentError(f"train option batch must be >= 1, got {batch}")
+    rng = np.random.default_rng(seed)
+    theta = init_params(spec, seed)
     trace = []
     best = math.inf
     for _ in range(epochs):

@@ -308,6 +308,8 @@ def build_sde_dataset(c: SdeCoeffs, grid: TimeGrid, init_box, o: McOracle,
     coordinates at t_j with those at t_{j+1}; all windows share the coordinate
     dimension 1 + n_modes (a horizon-0 variable just has zero chaos part).
     """
+    if np.shape(init_box) != (2,):
+        raise InvalidArgumentError(f"init_box must be a pair (lo, hi), got {init_box}")
     lo, hi = float(init_box[0]), float(init_box[1])
     if not lo <= hi:
         raise InvalidArgumentError(f"init_box must satisfy lo <= hi, got {init_box}")

@@ -73,39 +73,59 @@ def _fields_of(where: str):
         raise IntegrityError(f"{where}: malformed field ({type(e).__name__}: {e})") from e
 
 
-def _floats_to_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _floats_from_bytes(data: bytes, count: int) -> np.ndarray:
-    arr = np.frombuffer(data[: 8 * count], dtype="<f8").astype(np.float64)
-    return arr
-
-
-def save_net(path: str, spec: net.NetSpec, theta: np.ndarray):
-    header = {"dims": list(spec.dims), "activation": spec.activation,
-              "schema_version": SCHEMA_VERSION}
+def _write_record(path: str, magic: bytes, header: dict, blocks):
+    """Write a record: the magic line, the JSON header line (with the schema
+    version), then each block as little-endian float64 in C order."""
     with open(path, "wb") as fh:
-        fh.write(NET_MAGIC)
-        fh.write(canonical_json(header).encode() + b"\n")
-        fh.write(_floats_to_bytes(np.asarray(theta)))
+        fh.write(magic)
+        fh.write(canonical_json({**header, "schema_version": SCHEMA_VERSION}).encode() + b"\n")
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
-def load_net(path: str):
+def _read_record(path: str, magic: bytes, layout):
+    """Read the record at ``path``: return its header, what ``layout`` parsed
+    from the header, and its float64 blocks.
+
+    ``layout(header)`` returns a parsed value and the number of floats in
+    each block.  The payload is read once, and each block is a view into it."""
     with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != NET_MAGIC:
-            raise IntegrityError(f"{path}: bad magic {magic!r}")
+        line = fh.readline()
+        if line != magic:
+            raise IntegrityError(f"{path}: bad magic {line!r}")
         header = _parse_json(fh.readline(), path)
         if header.get("schema_version") != SCHEMA_VERSION:
             raise IntegrityError(f"{path}: unknown schema {header.get('schema_version')}")
         with _fields_of(path):
-            spec = net.NetSpec(tuple(header["dims"]), header["activation"])
-        data = fh.read()
-    count = net.param_count(spec)
-    if len(data) != 8 * count:
-        raise IntegrityError(f"{path}: expected {8 * count} payload bytes, got {len(data)}")
-    return spec, _floats_from_bytes(data, count)
+            parsed, sizes = layout(header)
+            if not all(type(n) is int and n >= 0 for n in sizes):
+                raise ValueError(f"block sizes {sizes} are not counts")
+        expected = 8 * sum(sizes)
+        actual = os.fstat(fh.fileno()).st_size - fh.tell()
+        if actual != expected:
+            raise IntegrityError(f"{path}: expected {expected} payload bytes, got {actual}")
+        payload = bytearray(expected)
+        if fh.readinto(payload) != expected:
+            raise IntegrityError(f"{path}: payload changed while reading")
+    blocks, offset = [], 0
+    for n in sizes:
+        blocks.append(np.frombuffer(payload, "<f8", n, offset))
+        offset += 8 * n
+    return header, parsed, blocks
+
+
+def save_net(path: str, spec: net.NetSpec, theta: np.ndarray):
+    _write_record(path, NET_MAGIC,
+                  {"dims": list(spec.dims), "activation": spec.activation}, [theta])
+
+
+def load_net(path: str):
+    def layout(h):
+        spec = net.NetSpec(tuple(h["dims"]), h["activation"])
+        return spec, [net.param_count(spec)]
+
+    _, spec, (theta,) = _read_record(path, NET_MAGIC, layout)
+    return spec, theta
 
 
 def save_weave(path: str, w: weave.WeaveModel):
@@ -114,45 +134,24 @@ def save_weave(path: str, w: weave.WeaveModel):
         "M_T": w.M_T, "seed": w.seed,
         "hyper_dims": list(w.hyper_spec.dims),
         "hyper_activation": w.hyper_spec.activation,
-        "schema_version": SCHEMA_VERSION,
     }
-    with open(path, "wb") as fh:
-        fh.write(WEAVE_MAGIC)
-        fh.write(canonical_json(header).encode() + b"\n")
-        fh.write(_floats_to_bytes(w.packing.points))
-        fh.write(_floats_to_bytes(w.codes))
-        fh.write(_floats_to_bytes(w.hyper_theta))
+    _write_record(path, WEAVE_MAGIC, header,
+                  [w.packing.points, w.codes, w.hyper_theta])
 
 
 def load_weave(path: str) -> weave.WeaveModel:
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != WEAVE_MAGIC:
-            raise IntegrityError(f"{path}: bad magic {magic!r}")
-        header = _parse_json(fh.readline(), path)
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise IntegrityError(f"{path}: unknown schema {header.get('schema_version')}")
-        data = fh.read()
+    def layout(h):
+        spec = net.NetSpec(tuple(h["hyper_dims"]), h["hyper_activation"])
+        return spec, [h["T"] * h["Q"], h["T"] * (h["P"] + h["Q"]), net.param_count(spec)]
+
+    h, hyper_spec, (points, codes, theta) = _read_record(path, WEAVE_MAGIC, layout)
     with _fields_of(path):
-        P, Q, T = header["P"], header["Q"], header["T"]
-        hyper_spec = net.NetSpec(tuple(header["hyper_dims"]), header["hyper_activation"])
-        n_pack = T * Q
-        n_codes = T * (P + Q)
-        n_theta = net.param_count(hyper_spec)
-        expected = 8 * (n_pack + n_codes + n_theta)
-        if len(data) != expected:
-            raise IntegrityError(f"{path}: expected {expected} payload bytes, got {len(data)}")
-        pos = 0
-        points = _floats_from_bytes(data[pos:], n_pack).reshape(T, Q)
-        pos += 8 * n_pack
-        codes = _floats_from_bytes(data[pos:], n_codes).reshape(T, P + Q)
-        pos += 8 * n_codes
-        theta = _floats_from_bytes(data[pos:], n_theta)
-        packing = weave.Packing(Q, header["R"], header["delta"], points)
+        P, Q, T = h["P"], h["Q"], h["T"]
+        packing = weave.Packing(Q, h["R"], h["delta"], points.reshape(T, Q))
         return weave.WeaveModel(
-            Q=Q, P=P, M_T=header["M_T"], delta=header["delta"], R=header["R"],
-            packing=packing, codes=codes, hyper_spec=hyper_spec, hyper_theta=theta,
-            seed=header["seed"],
+            Q=Q, P=P, M_T=h["M_T"], delta=h["delta"], R=h["R"], packing=packing,
+            codes=codes.reshape(T, P + Q), hyper_spec=hyper_spec, hyper_theta=theta,
+            seed=h["seed"],
         )
 
 

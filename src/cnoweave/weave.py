@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net
-from .errors import InvalidArgumentError, PackingInfeasibleError
+from .errors import BudgetOverflowError, InvalidArgumentError, PackingInfeasibleError
 
 __all__ = [
     "Packing",
@@ -30,7 +30,10 @@ __all__ = [
     "build_weave",
     "rollout",
     "table2_report",
+    "viable_horizon",
 ]
+
+_PACK_RESTARTS = 8  # seeded random pools pack_ball tries before the lattice
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,7 @@ def _lattice_points(Q: int, R: float, delta: float, T_needed: int):
     return np.array(out) if out else None
 
 
-def pack_ball(Q: int, R: float, delta: float, T_needed: int, seed: int = 0,
-              restarts: int = 8) -> Packing:
+def pack_ball(Q: int, R: float, delta: float, T_needed: int, seed: int = 0) -> Packing:
     """Construct a delta-packing of T_needed points in the radius-R ball.
 
     Greedy farthest-point passes over seeded random pools come first; if they
@@ -139,7 +141,7 @@ def pack_ball(Q: int, R: float, delta: float, T_needed: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     best = np.zeros((0, Q))
     pool_size = min(max(4096, 64 * T_needed), 40_000)
-    for _ in range(max(1, restarts)):
+    for _ in range(_PACK_RESTARTS):
         raw = rng.standard_normal((pool_size, Q))
         radii = rng.random(pool_size) ** (1.0 / Q)
         pool = raw / np.linalg.norm(raw, axis=1, keepdims=True) * (R * radii)[:, None]
@@ -296,6 +298,18 @@ class WeaveModel:
         return self.M_T * np.asarray(z)[: self.P]
 
 
+def viable_horizon(Q: int, delta: float) -> int:
+    """I_{delta,Q} = floor(delta^-Q): the most parameter vectors a weave with
+    Q code dimensions and code separation delta can hold."""
+    if not delta > 0:
+        raise InvalidArgumentError(f"delta must be positive, got {delta}")
+    try:
+        return math.floor(delta ** (-Q))
+    except OverflowError as e:
+        raise BudgetOverflowError(f"delta^-Q overflows for delta={delta}, Q={Q}",
+                                  log_value=-Q * math.log(delta)) from e
+
+
 def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> WeaveModel:
     """Assemble latent codes for a parameter sequence and memorize successors."""
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -304,7 +318,7 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
     if not np.all(np.isfinite(thetas)):
         raise InvalidArgumentError("thetas must be finite")
     T, P = thetas.shape
-    horizon = math.floor(delta ** (-Q))
+    horizon = viable_horizon(Q, delta)
     if T > horizon:
         raise InvalidArgumentError(
             f"T={T} exceeds the viable horizon floor(delta^-Q)={horizon}"
@@ -348,7 +362,7 @@ def table2_report(P: int, Q: int, delta: float, T: int, measured_width=None) -> 
     evaluated with every unstated constant set to 1 (recorded in the output)
     and never asserted against measurements.
     """
-    I = math.floor(delta ** (-Q))
+    I = viable_horizon(Q, delta)
     if T > I:
         raise InvalidArgumentError(f"T={T} exceeds I_delta_Q={I}")
     width_bound = (P + Q) * I + 12

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cnoweave import cli, serial
+from cnoweave import cli, cno, serial
 from cnoweave.errors import OracleDivergedError
 
 
@@ -153,6 +155,53 @@ class TestExitCodes:
         assert run(["sde-bench", cfg]) == 6
 
 
+HOLDER_BUDGET = {
+    "regularity": {"kind": "holder", "alpha": 1.0},
+    "eps_D": 0.5, "eps_A": 0.5, "n_in": 1, "n_out": 1,
+}
+SMALL_WEAVE = {"P": 5, "Q": 4, "T": 4, "delta": 0.5, "seed": 0}
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("weave-test", {**SMALL_WEAVE, "seed": "abc"}, "seed"),
+        ("budget", {**HOLDER_BUDGET, "eps_D": "abc"}, "eps_D"),
+        ("construct", {"T": 2, "M": 2, "n_train": 16, "hidden": ["x"]}, "hidden"),
+        ("compare-rnn", {"T": 2, "budgets": [{"dims": [2, 4, 1]}]}, "budgets.0.kind"),
+        ("train-filter", {"dims": [1, 4, 1], "train": {"epoch": 3}}, "epoch"),
+    ])
+    def test_ill_typed_field_is_2_and_named(self, tmp_path, capsys, command, cfg, field):
+        path = write_cfg(tmp_path, "c.yaml", {**cfg, "out_dir": str(tmp_path / "o")})
+        assert run([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+
+    def test_non_utf8_config_is_2(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"seed: \xff\xfe\n")
+        assert run(["budget", str(path)]) == 2
+
+    def test_directory_as_config_is_2(self, tmp_path):
+        assert run(["budget", str(tmp_path)]) == 2
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["budget", "weave-test"]))
+def test_any_value_in_one_field_exits_with_a_documented_code(tmp_path, data, command):
+    """Replace one field of a valid config with a random string, list or
+    number: the command ends with a documented exit code, never a traceback.
+    Numbers stay within ±100 so that no example asks for a model too large
+    to build quickly."""
+    cfg = dict(HOLDER_BUDGET if command == "budget" else SMALL_WEAVE)
+    field = data.draw(st.sampled_from(sorted(cfg)))
+    number = st.integers(-100, 100) | st.floats(-100, 100) | st.sampled_from(
+        [float("nan"), float("inf"), -float("inf")])
+    cfg[field] = data.draw(st.text(max_size=5) | st.lists(number, max_size=3) | number)
+    path = write_cfg(tmp_path, "c.yaml", {**cfg, "out_dir": str(tmp_path / "o")})
+    assert run([command, path]) in {0, 2, 3, 4, 5, 6}
+
+
 def test_module_entry_point_imports_cleanly():
     # the package must not import cli, or runpy warns on `python -m cnoweave.cli`
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -220,6 +269,18 @@ class TestPipeline:
         assert run(["audit", cfg]) == 0
         data = json.loads((out / "audit.json").read_text())
         assert data["ok"] and data["passed"] == 25
+
+    def test_failed_audit_is_5(self, bundle, capsys, monkeypatch):
+        tmp, out = bundle
+        cfg = write_cfg(tmp, "a.yaml", {
+            "bundle": str(out / "bundle"), "n_pairs": 4,
+            "out_dir": str(tmp / "failed_audit"),
+        })
+        monkeypatch.setattr(cno, "causality_audit", lambda *args: False)
+        assert run(["audit", cfg]) == 5
+        assert "integrity failure: 4 of 4 audit pairs" in capsys.readouterr().err
+        data = json.loads((tmp / "failed_audit" / "audit.json").read_text())
+        assert not data["ok"] and data["passed"] == 0
 
     def test_inspect(self, bundle, capsys):
         tmp, out = bundle

@@ -218,6 +218,12 @@ class TestBudgets:
                 n_in=8, n_out=8,
             ))
 
+    @pytest.mark.parametrize("eps_A", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, eps_A):
+        with pytest.raises(InvalidArgumentError):
+            filters.BudgetInput(eps_D=1.0, eps_A=eps_A, lam=1.0,
+                                regularity=Holder(1.0), n_in=1, n_out=1)
+
     def test_wrong_regularity_rejected(self):
         with pytest.raises(InvalidArgumentError):
             filters.budget_smooth(filters.BudgetInput(

@@ -273,6 +273,13 @@ class TestTrain:
         t2, _ = net.train(spec, (X, Y), {"epochs": 20, "seed": 7, "batch": 8})
         assert np.array_equal(t1, t2)
 
+    @pytest.mark.parametrize("opts", [{"epoch": 3}, {"init": [0.0] * 4},
+                                      {"lr": "abc"}, {"batch": 0}])
+    def test_bad_options_rejected(self, opts):
+        spec = net.NetSpec((1, 1))
+        with pytest.raises(InvalidArgumentError):
+            net.train(spec, (np.zeros((4, 1)), np.zeros((4, 1))), opts)
+
     def test_empty_dataset_rejected(self):
         spec = net.NetSpec((2, 1))
         with pytest.raises(InvalidArgumentError):

@@ -1,6 +1,7 @@
 """Binary formats and bundle integrity."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,21 @@ class TestWeaveFormat:
         assert (w.P, w.Q, w.M_T, w.delta, w.R) == (w2.P, w2.Q, w2.M_T, w2.delta, w2.R)
         for a, b in zip(weave.rollout(w, 6), weave.rollout(w2, 6)):
             assert np.array_equal(a, b)
+
+
+    def test_load_peak_below_one_and_a_half_payloads(self, tmp_path):
+        w = weave.build_weave(RNG(3).standard_normal((8, 20_000)), Q=4, delta=0.5, seed=0)
+        p = tmp_path / "w.bin"
+        serial.save_weave(str(p), w)
+        payload = 8 * (w.packing.points.size + w.codes.size + w.hyper_theta.size)
+        tracemalloc.start()
+        try:
+            w2 = serial.load_weave(str(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(w.codes, w2.codes)
+        assert peak < 1.5 * payload
 
 
 class TestBundle:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cnoweave import net, weave
-from cnoweave.errors import InvalidArgumentError, PackingInfeasibleError
+from cnoweave.errors import BudgetOverflowError, InvalidArgumentError, PackingInfeasibleError
 
 RNG = np.random.default_rng
 
@@ -170,6 +170,15 @@ class TestBuildWeave:
 
 
 class TestTable2:
+    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
+    def test_nonpositive_delta_rejected(self, delta):
+        with pytest.raises(InvalidArgumentError):
+            weave.table2_report(17, 4, delta, 1)
+
+    def test_horizon_overflow_is_typed(self):
+        with pytest.raises(BudgetOverflowError):
+            weave.viable_horizon(2000, 0.5)
+
     def test_frozen_width_348(self):
         rep = weave.table2_report(17, 4, 0.5, 16)
         assert rep["I_delta_Q"] == 16
