@@ -26,7 +26,6 @@ from .errors import (  # noqa: F401
     SpaceMismatchError,
     TrainingDivergedError,
     TrainingShortfallError,
-    UnsupportedError,
 )
 
 __version__ = "0.1.0"

@@ -61,11 +61,21 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _int(value) -> int:
+    """A YAML integer that numpy can take as a size or a seed: one outside
+    ``np.intp`` would make numpy raise a bare ValueError, not a config error."""
+    value = int(value)
+    bounds = np.iinfo(np.intp)
+    if not bounds.min <= value <= bounds.max:
+        raise OverflowError(f"{value} does not fit a {bounds.bits}-bit integer")
+    return value
+
+
 def _ints(value) -> tuple:
     """A YAML list of ints, such as layer widths."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(map(int, value))
+    return tuple(map(_int, value))
 
 
 def _floats(value) -> np.ndarray:
@@ -74,12 +84,14 @@ def _floats(value) -> np.ndarray:
 
 
 def _get(cfg: dict, key, kind, default=_REQUIRED, where: str = "", low=None):
-    """``cfg[key]`` read as ``kind``: int, float and a converter such as
-    :func:`_ints` convert the value, any other type must match it as parsed.
-    A missing or null field takes ``default``.  With no default, a value that
-    does not convert, or one below ``low``, raise ConfigError naming the
-    field ``where + key``."""
+    """``cfg[key]`` read as ``kind``: int (checked by :func:`_int`), float and
+    a converter such as :func:`_ints` convert the value, any other type must
+    match it as parsed.  A missing or null field takes ``default``.  With no
+    default, a value that does not convert, or one below ``low``, raise
+    ConfigError naming the field ``where + key``."""
     name = f"{where}{key}"
+    if kind is int:
+        kind = _int
     value = cfg.get(key)
     if value is None:
         if default is _REQUIRED:

@@ -5,9 +5,9 @@ A :class:`CausalDataset` presents a sequence task window by window: the input
 at step i is the concatenation of the last M per-step coordinate vectors
 (zero-padded on the left for the first steps), and the target is the output
 coordinates at step i.  Construction trains one filter core of a common
-shape per window, in parallel, and stores the parameter sequence in a weave
-model; prediction reads each window's parameters back through the weave
-rollout, decoded once per model, and never consults future inputs.
+shape per window and stores the parameter sequence in a weave model;
+prediction reads each window's parameters back through the weave rollout,
+decoded once per model, and never consults future inputs.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ __all__ = [
     "predict_paths",
     "causality_audit",
 ]
-
-_TRAIN_WORKERS = 4  # threads that train windows in construct_cno
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -71,7 +68,6 @@ class CausalDataset:
     M: int
     step_dim: int
     windows: list
-    in_spaces: list = field(default_factory=list)
     out_spaces: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -193,8 +189,7 @@ def build_window(x_path: np.ndarray, i: int, M: int, step_dim: int) -> np.ndarra
 
 
 def windows_from_paths(paths: np.ndarray, targets: np.ndarray, grid: TimeGrid,
-                       M: int, step_dim: int,
-                       in_spaces=None, out_spaces=None) -> CausalDataset:
+                       M: int, step_dim: int, out_spaces=None) -> CausalDataset:
     """Assemble a CausalDataset from whole paths and per-step targets.
 
     ``paths`` is (n_samples, n_steps, step_dim) (or 2-D for scalar steps) and
@@ -208,7 +203,7 @@ def windows_from_paths(paths: np.ndarray, targets: np.ndarray, grid: TimeGrid,
                for i in range(inputs.shape[1])]
     return CausalDataset(
         grid=grid, M=M, step_dim=step_dim, windows=windows,
-        in_spaces=list(in_spaces or []), out_spaces=list(out_spaces or []),
+        out_spaces=list(out_spaces or []),
     )
 
 
@@ -225,8 +220,8 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     the weave stores their parameters as trained.  Per window the empirical
     max coordinate-space error is gated against eps_A + eps_D; shortfalls are
     recorded in the per-window report and the construction continues.
-    Deterministic in the seed (per-window seeds are derived, so parallel
-    scheduling cannot change results).
+    Deterministic in the seed (per-window seeds are derived, so the order
+    windows train in cannot change results).
     """
     I = ds.n_windows
     horizon = weave.viable_horizon(Q, delta)
@@ -261,7 +256,11 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
         )
         return theta, report
 
-    with ThreadPoolExecutor(max_workers=_TRAIN_WORKERS) as pool:
+    # One worker: a minibatch step is a few dozen small numpy calls that hold
+    # the GIL, so more threads only contend for it.  The executor stays because
+    # the benchmark's smoke test pins net.train spans on pool threads; stacked
+    # training (ROADMAP item 2) deletes it.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(train_one, range(I)))
 
     wmodel = weave.build_weave(np.stack([r[0] for r in results]), Q=Q, delta=delta,

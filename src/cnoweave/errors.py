@@ -73,10 +73,6 @@ class IntegrityError(CnoweaveError):
     """A persisted artifact failed a hash or format check."""
 
 
-class UnsupportedError(CnoweaveError):
-    """The operation is defined only for a restricted class of inputs."""
-
-
 class ConfigError(CnoweaveError):
     """A run configuration failed to parse or validate.
 

@@ -83,6 +83,26 @@ def param_count(spec: NetSpec) -> int:
     return J + sum(d[j] * (d[j + 1] + 1) for j in range(J)) + d[-1]
 
 
+def _blocks(spec: NetSpec, buf: np.ndarray, slope_views=False):
+    """([(A_j, b_j, alpha_j)], c) views into a flat buffer of theta's layout.
+
+    ``alpha_j`` is the slope's value, or with ``slope_views`` a length-1 view,
+    so that writing any block writes ``buf``.
+    """
+    d = spec.dims
+    layers = []
+    pos = 0
+    for j in range(spec.depth):
+        a_len = d[j + 1] * d[j]
+        A = buf[pos : pos + a_len].reshape(d[j + 1], d[j])
+        pos += a_len
+        b = buf[pos : pos + d[j]]
+        pos += d[j]
+        layers.append((A, b, buf[pos : pos + 1] if slope_views else buf[pos]))
+        pos += 1
+    return layers, buf[pos:]
+
+
 def unpack(spec: NetSpec, theta: np.ndarray):
     """Split theta into ([(A_j, b_j, alpha_j)], c) views in block order."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -90,21 +110,7 @@ def unpack(spec: NetSpec, theta: np.ndarray):
         raise InvalidArgumentError(
             f"theta has length {theta.shape}, spec {spec.dims} needs {param_count(spec)}"
         )
-    d = spec.dims
-    layers = []
-    pos = 0
-    for j in range(spec.depth):
-        a_len = d[j + 1] * d[j]
-        A = theta[pos : pos + a_len].reshape(d[j + 1], d[j])
-        pos += a_len
-        b = theta[pos : pos + d[j]]
-        pos += d[j]
-        alpha = theta[pos]
-        pos += 1
-        layers.append((A, b, alpha))
-    c = theta[pos:]
-    assert c.shape == (d[-1],)
-    return layers, c
+    return _blocks(spec, theta)
 
 
 def pack(spec: NetSpec, layers, c) -> np.ndarray:
@@ -178,14 +184,18 @@ def _alpha_indices(spec: NetSpec) -> np.ndarray:
     return np.array(idx, dtype=np.intp)
 
 
-def _alpha_branch_mask(u, alpha):
-    """True where the alpha*u branch of max(u, alpha*u) is active.
+def _alpha_branch_mask(u, au):
+    """True where the ``au = alpha*u`` branch of max(u, alpha*u) is active.
 
     Ties (u == alpha*u) resolve to the alpha branch when u <= 0, so the ReLU
     subgradient at 0 is 0.
     """
-    au = alpha * u
     return (au > u) | ((au == u) & (u <= 0))
+
+
+# np.sum's own reduction without its Python wrapper, which costs as much as
+# the sum on the small arrays of a minibatch step; pass axis=None for a total
+_sum = np.add.reduce
 
 
 def _forward_cached(layers, c, x):
@@ -194,35 +204,35 @@ def _forward_cached(layers, c, x):
     h = x
     for A, b, alpha in layers:
         u = h + b
-        mask = _alpha_branch_mask(u, alpha)
-        s = np.where(mask, alpha * u, u)
+        au = alpha * u
+        mask = _alpha_branch_mask(u, au)
+        s = np.where(mask, au, u)
         us.append(u)
         ss.append((s, mask))
         h = s @ A.T
     return h + c, us, ss
 
 
-def _backward(spec, layers, us, ss, g):
+def _backward(layers, us, ss, g, grads, slopes=True):
     """Reverse sweep; ``g`` is the batched upstream (N, d_J).
 
-    Returns gradient blocks in flat layout order, summed over the batch.
+    Writes the gradient, summed over the batch, into ``grads``: the
+    :func:`_blocks` slope views of a flat buffer.  With ``slopes`` false the slope
+    entries are set to 0, which keeps a ReLU net's slopes at 0.
     """
-    grads_A = [None] * len(layers)
-    grads_b = [None] * len(layers)
-    grads_alpha = [None] * len(layers)
-    dc = g.sum(axis=0)
+    grad_layers, dc = grads
+    _sum(g, axis=0, out=dc)
     gx = g
     for j in range(len(layers) - 1, -1, -1):
-        A, b, alpha = layers[j]
+        A, _, alpha = layers[j]
+        dA, db, dalpha = grad_layers[j]
         s, mask = ss[j]
-        u = us[j]
-        grads_A[j] = gx.T @ s
+        np.matmul(gx.T, s, out=dA)
         gs = gx @ A
-        grads_alpha[j] = float(np.sum(gs * np.where(mask, u, 0.0)))
+        dalpha[0] = _sum(gs * np.where(mask, us[j], 0.0), axis=None) if slopes else 0.0
         gu = gs * np.where(mask, alpha, 1.0)
-        grads_b[j] = gu.sum(axis=0)
+        _sum(gu, axis=0, out=db)
         gx = gu
-    return grads_A, grads_b, grads_alpha, dc
 
 
 def grad(spec: NetSpec, theta: np.ndarray, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -234,8 +244,9 @@ def grad(spec: NetSpec, theta: np.ndarray, x: np.ndarray, upstream: np.ndarray) 
     x = np.asarray(x, dtype=np.float64).reshape(1, spec.d_in)
     g = np.asarray(upstream, dtype=np.float64).reshape(1, spec.d_out)
     _, us, ss = _forward_cached(layers, c, x)
-    gA, gb, ga, dc = _backward(spec, layers, us, ss, g)
-    return pack(spec, [(gA[j], gb[j], ga[j]) for j in range(spec.depth)], dc)
+    out = np.empty(param_count(spec))  # _backward writes every entry
+    _backward(layers, us, ss, g, _blocks(spec, out, slope_views=True))
+    return out
 
 
 def pad_to(spec_src: NetSpec, params_src: np.ndarray, dims_target) -> tuple:
@@ -421,31 +432,34 @@ def train(spec: NetSpec, dataset, opts=None):
         raise InvalidArgumentError(f"train option batch must be >= 1, got {batch}")
     rng = np.random.default_rng(seed)
     theta = init_params(spec, seed)
+    # the step updates theta in place through these views, so a minibatch
+    # neither unpacks nor packs
+    layers, cvec = _blocks(spec, theta, slope_views=True)
+    gradvec = np.empty_like(theta)
+    grads = _blocks(spec, gradvec, slope_views=True)
+    slopes = spec.activation != "relu"
     trace = []
     best = math.inf
     for _ in range(epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
+        if batch < n:
+            order = rng.permutation(n)
+            Xe, Ye = X[order], Y[order]
+        else:
+            Xe, Ye = X, Y
         epoch_loss = 0.0
         for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            xb, yb = X[idx], Y[idx]
-            layers, cvec = unpack(spec, theta)
+            xb, yb = Xe[start : start + batch], Ye[start : start + batch]
             out, us, ss = _forward_cached(layers, cvec, xb)
             resid = out - yb
-            loss = float(np.mean(np.sum(resid * resid, axis=1)))
+            # np.mean's arithmetic: the total of the row sums over the row count
+            loss = float(_sum(_sum(resid * resid, axis=1), axis=None)) / xb.shape[0]
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
-                    "loss became non-finite", last_params=theta, trace=trace
+                    "loss became non-finite", last_params=theta.copy(), trace=trace
                 )
-            g = 2.0 * resid / xb.shape[0]
-            gA, gb, ga, dc = _backward(spec, layers, us, ss, g)
-            gradvec = pack(
-                spec, [(gA[j], gb[j], ga[j]) for j in range(spec.depth)], dc
-            )
-            if spec.activation == "relu":
-                gradvec[_alpha_indices(spec)] = 0.0
-            theta = theta - lr * gradvec
-            epoch_loss += loss * (len(idx) / n)
+            _backward(layers, us, ss, 2.0 * resid / xb.shape[0], grads, slopes)
+            theta -= lr * gradvec
+            epoch_loss += loss * (xb.shape[0] / n)
         best = min(best, epoch_loss)
         trace.append(best)
     return theta, trace

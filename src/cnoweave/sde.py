@@ -342,15 +342,9 @@ def build_sde_dataset(c: SdeCoeffs, grid: TimeGrid, init_box, o: McOracle,
     out_spaces = [
         spaces.chaos_l2(n_modes, float(times[j + 1])) for j in range(len(times) - 1)
     ]
-    in_spaces = [
-        spaces.chaos_l2(n_modes, float(times[j])) if times[j] > 0
-        else spaces.chaos_l2(0, 0.0)
-        for j in range(len(times) - 1)
-    ]
     windows = [
         {"inputs": inputs[j], "targets": targets[j]} for j in range(len(times) - 1)
     ]
     return CausalDataset(
-        grid=grid, M=1, step_dim=dim, windows=windows,
-        in_spaces=in_spaces, out_spaces=out_spaces,
+        grid=grid, M=1, step_dim=dim, windows=windows, out_spaces=out_spaces,
     )

@@ -169,6 +169,7 @@ class TestBadConfig:
         ("construct", {"T": 2, "M": 2, "n_train": 16, "hidden": ["x"]}, "hidden"),
         ("compare-rnn", {"T": 2, "budgets": [{"dims": [2, 4, 1]}]}, "budgets.0.kind"),
         ("train-filter", {"dims": [1, 4, 1], "train": {"epoch": 3}}, "epoch"),
+        ("weave-test", {**SMALL_WEAVE, "P": 1.0e30}, "P"),
     ])
     def test_ill_typed_field_is_2_and_named(self, tmp_path, capsys, command, cfg, field):
         path = write_cfg(tmp_path, "c.yaml", {**cfg, "out_dir": str(tmp_path / "o")})
@@ -191,12 +192,12 @@ class TestBadConfig:
 def test_any_value_in_one_field_exits_with_a_documented_code(tmp_path, data, command):
     """Replace one field of a valid config with a random string, list or
     number: the command ends with a documented exit code, never a traceback.
-    Numbers stay within ±100 so that no example asks for a model too large
-    to build quickly."""
+    Numbers stay within ±100, or are ±1e30, which no integer field may take:
+    a size in between could ask for a model too large to build quickly."""
     cfg = dict(HOLDER_BUDGET if command == "budget" else SMALL_WEAVE)
     field = data.draw(st.sampled_from(sorted(cfg)))
     number = st.integers(-100, 100) | st.floats(-100, 100) | st.sampled_from(
-        [float("nan"), float("inf"), -float("inf")])
+        [float("nan"), float("inf"), -float("inf"), 1e30, -1e30])
     cfg[field] = data.draw(st.text(max_size=5) | st.lists(number, max_size=3) | number)
     path = write_cfg(tmp_path, "c.yaml", {**cfg, "out_dir": str(tmp_path / "o")})
     assert run([command, path]) in {0, 2, 3, 4, 5, 6}

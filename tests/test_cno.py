@@ -157,6 +157,22 @@ class TestConstruct:
         _, part = cno.construct_cno(head, eps_D=0.1, eps_A=0.1, Q=4, delta=0.5, seed=5)
         assert part == full[:2]
 
+    def test_reports_match_direct_train(self):
+        ds = toy_dataset(T=4, M=2)
+        opts = {"epochs": 60, "lr": 0.05, "batch": 16}
+        dims = (2, 6, 1)
+        model, reports = cno.construct_cno(ds, eps_D=0.1, eps_A=0.1, Q=4, delta=0.5,
+                                           seed=9, dims=dims, train_opts=opts)
+        spec = net.NetSpec(dims, "relu")
+        w = model.weave_model
+        for i, window in enumerate(ds.windows):
+            X, Y = window["inputs"], window["targets"]
+            theta, trace = net.train(spec, (X, Y), {**opts, "seed": cno._window_seed(9, i)})
+            err = float(np.max(np.linalg.norm(net.forward(spec, theta, X) - Y, axis=1)))
+            assert reports[i].error == err
+            assert reports[i].epochs == len(trace)
+            assert np.array_equal(w.codes[i, : w.P], theta / w.M_T)
+
     def test_rollout_matches_stored_filters(self):
         ds = toy_dataset(T=4, M=2)
         model, _ = cno.construct_cno(ds, eps_D=0.1, eps_A=0.1, Q=4, delta=0.5,

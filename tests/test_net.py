@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnoweave import net
-from cnoweave.errors import InvalidArgumentError
+from cnoweave.errors import InvalidArgumentError, TrainingDivergedError
 
 RNG = np.random.default_rng
 
@@ -272,6 +272,62 @@ class TestTrain:
         t1, _ = net.train(spec, (X, Y), {"epochs": 20, "seed": 7, "batch": 8})
         t2, _ = net.train(spec, (X, Y), {"epochs": 20, "seed": 7, "batch": 8})
         assert np.array_equal(t1, t2)
+
+    @pytest.mark.parametrize("activation", ["relu", "prelu"])
+    def test_one_full_batch_step_is_the_summed_grad(self, activation):
+        rng = RNG(12)
+        spec = net.NetSpec((3, 5, 4, 2), activation)
+        X = rng.standard_normal((20, 3))
+        Y = rng.standard_normal((20, 2))
+        n, lr = len(X), 0.03
+        theta0 = net.init_params(spec, 4)
+        resid = net.forward(spec, theta0, X) - Y
+        step = sum(net.grad(spec, theta0, x, 2.0 * r / n) for x, r in zip(X, resid))
+        slopes = net._alpha_indices(spec)
+        if activation == "relu":
+            step[slopes] = 0.0
+        theta, trace = net.train(spec, (X, Y), {"epochs": 1, "batch": n, "lr": lr, "seed": 4})
+        expect = theta0 - lr * step
+        assert np.max(np.abs(theta - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert trace == [pytest.approx(float(np.mean(np.sum(resid * resid, axis=1))))]
+        if activation == "relu":
+            assert np.all(theta[slopes] == 0.0)
+        else:
+            assert np.all(theta[slopes] != theta0[slopes])
+
+    def test_one_minibatch_epoch_follows_the_seeded_permutation(self):
+        rng = RNG(14)
+        spec = net.NetSpec((3, 5, 2), "prelu")
+        X = rng.standard_normal((20, 3))
+        Y = rng.standard_normal((20, 2))
+        lr, batch, seed = 0.03, 7, 5
+        expect = net.init_params(spec, seed)
+        order = RNG(seed).permutation(len(X))
+        for start in range(0, len(X), batch):
+            idx = order[start : start + batch]
+            resid = net.forward(spec, expect, X[idx]) - Y[idx]
+            expect = expect - lr * sum(net.grad(spec, expect, x, 2.0 * r / len(idx))
+                                       for x, r in zip(X[idx], resid))
+        theta, _ = net.train(spec, (X, Y), {"epochs": 1, "batch": batch, "lr": lr,
+                                            "seed": seed})
+        assert np.max(np.abs(theta - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_divergence_reports_the_failing_params(self):
+        rng = RNG(13)
+        X = rng.standard_normal((16, 2))
+        Y = 100.0 * rng.standard_normal((16, 1))
+        spec = net.NetSpec((2, 8, 1), "prelu")
+        opts = {"epochs": 200, "lr": 1e6, "seed": 0}
+        with pytest.raises(TrainingDivergedError) as info, np.errstate(all="ignore"):
+            net.train(spec, (X, Y), opts)
+        last, trace = info.value.last_params, info.value.trace
+        assert last.shape == (net.param_count(spec),)
+        # a copy, not a view of the buffer the trainer updates in place
+        assert last.base is None and last.flags.owndata
+        # full batch: the failing params are those after the finished epochs
+        with np.errstate(all="ignore"):
+            done, done_trace = net.train(spec, (X, Y), {**opts, "epochs": len(trace)})
+        assert np.array_equal(last, done, equal_nan=True) and done_trace == trace
 
     @pytest.mark.parametrize("opts", [{"epoch": 3}, {"init": [0.0] * 4},
                                       {"lr": "abc"}, {"batch": 0}])
