@@ -183,12 +183,16 @@ class Budget:
         }
 
 
-def _checked_exp(log_value: float, what: str) -> float:
+def _check_log(log_value: float, what: str) -> None:
     if log_value > _LOG_OVERFLOW:
         raise BudgetOverflowError(
             f"{what} overflows float range (log value {log_value:.6g})",
             log_value=log_value,
         )
+
+
+def _checked_exp(log_value: float, what: str) -> float:
+    _check_log(log_value, what)
     return math.exp(log_value)
 
 
@@ -206,6 +210,9 @@ def budget_smooth(b: BudgetInput) -> Budget:
         raise InvalidArgumentError("budget_smooth requires Smooth regularity")
     k = b.regularity.k
     n = b.n_in
+    # the exact powers of a huge n or k take unbounded time: check logs first
+    _check_log(math.log(17 * n) + (n + 1) * math.log(k) + n * math.log(3), "C1")
+    _check_log(math.log(85) + n * math.log(k + 1) + k * math.log(8), "C3")
     C1 = 17 * k ** (n + 1) * 3 ** n * n
     C2 = 18 * k * k
     C3 = 85 * (k + 1) ** n * 8 ** k
@@ -219,11 +226,16 @@ def budget_smooth(b: BudgetInput) -> Budget:
     )
     A = math.ceil(_checked_exp(log_A, "inner budget term") - 1e-12)
     A = max(A, 1)
-    width_raw = b.n_in * (b.n_out - 1) + C1 * (A + 2) * math.log2(8 * A)
-    depth_raw = b.n_out * (1 + C2 * (A + 2) * math.log2(A) + 2 * b.n_in)
+    try:
+        width_raw = b.n_in * (b.n_out - 1) + C1 * (A + 2) * math.log2(8 * A)
+        depth_raw = b.n_out * (1 + C2 * (A + 2) * math.log2(A) + 2 * b.n_in)
+        width = max(1, math.ceil(width_raw - 1e-9))
+        depth = max(1, math.ceil(depth_raw - 1e-9))
+    except OverflowError:  # an integer past float range, or the ceiling of inf
+        raise BudgetOverflowError("smooth width or depth overflows float range") from None
     return Budget(
-        width=max(1, math.ceil(width_raw - 1e-9)),
-        depth=max(1, math.ceil(depth_raw - 1e-9)),
+        width=width,
+        depth=depth,
         constants_used={"C1": C1, "C2": C2, "C3": C3, "A": A, "C_fbar": b.C_fbar},
     )
 
@@ -244,6 +256,7 @@ def budget_holder(b: BudgetInput) -> Budget:
         raise InvalidArgumentError("budget_holder requires Holder regularity")
     alpha = b.regularity.alpha
     n = b.n_in
+    _check_log(n * math.log(3), "C1")  # before the exact power, as in budget_smooth
     C1 = 3 ** n + 3
     C2 = 18 + 2 * n
     w = b.omega(b.eps_A)
@@ -257,11 +270,16 @@ def budget_holder(b: BudgetInput) -> Budget:
     B = _checked_exp(log_B, "Holder budget term") if math.isfinite(log_B) else 0.0
     B_ceil = max(1, math.ceil(B - 1e-12))
     B_floor_root = math.floor(B ** (1.0 / n) + 1e-12)
-    width_raw = b.n_in * (b.n_out - 1) + C1 * max(b.n_in * B_floor_root, B_ceil + 2)
-    depth_raw = b.n_in * (1 + 11 * B_ceil + C2)
+    try:
+        width_raw = b.n_in * (b.n_out - 1) + C1 * max(b.n_in * B_floor_root, B_ceil + 2)
+        depth_raw = b.n_in * (1 + 11 * B_ceil + C2)
+        width = max(1, math.ceil(width_raw - 1e-9))
+        depth = max(1, math.ceil(depth_raw - 1e-9))
+    except OverflowError:  # an integer past float range, or the ceiling of inf
+        raise BudgetOverflowError("Holder width or depth overflows float range") from None
     return Budget(
-        width=max(1, math.ceil(width_raw - 1e-9)),
-        depth=max(1, math.ceil(depth_raw - 1e-9)),
+        width=width,
+        depth=depth,
         constants_used={"C1": C1, "C2": C2, "B": B, "V_arg": varg},
     )
 

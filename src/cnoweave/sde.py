@@ -16,6 +16,9 @@ The solve operator maps eta at time t_i to the terminal value at t_{i+1} of
 estimated by (tamed) Euler-Maruyama on recorded Brownian increments; the same
 increments synthesize eta and drive the SDE, and mode integrals are left-point
 sums on those increments, so projection and synthesis are mutually consistent.
+The orbit dataset draws one step-major Brownian record per orbit over
+[0, t_end], seeded (seed * 2654435761 + orbit * 40503) mod (2^31 - 1), and
+every step of that orbit reads its prefix of the record.
 Only chaos orders 0 and 1 are implemented; that already spans Gaussian
 solution maps such as Ornstein-Uhlenbeck.
 """
@@ -207,11 +210,13 @@ def _draw_increments(o: McOracle, l_total: int) -> np.ndarray:
 
 
 def sde_solve_mc(c: SdeCoeffs, eta: ChaosCoords, t_i: float, t_ip1: float,
-                 o: McOracle) -> SdeResult:
+                 o: McOracle, dB: np.ndarray | None = None) -> SdeResult:
     """Euler-Maruyama (tamed when flagged) from eta at t_i to t_{i+1}.
 
     eta is synthesized from its coordinates using the same Brownian record
     that later drives the SDE, so repeated calls with one oracle share paths.
+    ``dB`` is a recorded (n_paths, >= grid_index(t_ip1)) array of increments
+    to use instead of the oracle's own draw; its prefix up to t_ip1 is read.
     """
     if not t_i < t_ip1:
         raise InvalidArgumentError(f"need t_i < t_ip1, got {t_i} >= {t_ip1}")
@@ -221,7 +226,15 @@ def sde_solve_mc(c: SdeCoeffs, eta: ChaosCoords, t_i: float, t_ip1: float,
         )
     l0 = o.grid_index(t_i)
     l1 = o.grid_index(t_ip1)
-    dB = _draw_increments(o, l1)
+    if dB is None:
+        dB = _draw_increments(o, l1)
+    elif dB.ndim != 2 or dB.shape[0] != o.n_paths or dB.shape[1] < l1:
+        raise InvalidArgumentError(
+            f"recorded increments of shape {dB.shape} do not cover "
+            f"({o.n_paths}, {l1}) = (n_paths, steps to t_ip1)"
+        )
+    else:
+        dB = dB[:, :l1]
     dt = o.dt
     X = synthesize_eta(eta, dB, dt)
     for l in range(l0, l1):
@@ -274,16 +287,18 @@ def lipschitz_check(c: SdeCoeffs, pairs, t_i: float, t_ip1: float, o: McOracle) 
     """Max observed L^2 amplification across pairs versus the closed-form bound
     sqrt(3) * exp(1.5 * M_g^2 * (D + 1) * D) with D = t_{i+1} - t_i.
 
-    Common random numbers: each pair is simulated on the same increments.
+    Common random numbers: the oracle's record is drawn once, and every pair
+    is simulated on it.
     """
     D = t_ip1 - t_i
     bound = math.sqrt(3.0) * math.exp(1.5 * c.M_g ** 2 * (D + 1.0) * D)
+    dB = _draw_increments(o, o.grid_index(t_ip1))
     ratios = []
     for eta_a, eta_b in pairs:
-        res_a = sde_solve_mc(c, eta_a, t_i, t_ip1, o)
-        res_b = sde_solve_mc(c, eta_b, t_i, t_ip1, o)
-        eta_a_paths = synthesize_eta(eta_a, res_a.dB, res_a.dt)
-        eta_b_paths = synthesize_eta(eta_b, res_b.dB, res_b.dt)
+        res_a = sde_solve_mc(c, eta_a, t_i, t_ip1, o, dB=dB)
+        res_b = sde_solve_mc(c, eta_b, t_i, t_ip1, o, dB=dB)
+        eta_a_paths = synthesize_eta(eta_a, dB, o.dt)
+        eta_b_paths = synthesize_eta(eta_b, dB, o.dt)
         den = math.sqrt(float(np.mean((eta_a_paths - eta_b_paths) ** 2)))
         if den == 0.0:
             continue  # degenerate pair
@@ -307,6 +322,11 @@ def build_sde_dataset(c: SdeCoeffs, grid: TimeGrid, init_box, o: McOracle,
     endpoint back to chaos coordinates at the new horizon.  Window j pairs the
     coordinates at t_j with those at t_{j+1}; all windows share the coordinate
     dimension 1 + n_modes (a horizon-0 variable just has zero chaos part).
+
+    Orbit s draws one step-major Brownian record over [0, t_end] from the
+    seed (seed * 2654435761 + s * 40503) mod (2^31 - 1), and every step of the
+    orbit reads its prefix; ``o.seed`` is not used.  One record buffer is
+    reused across orbits, so memory is one n_paths x steps array.
     """
     if np.shape(init_box) != (2,):
         raise InvalidArgumentError(f"init_box must be a pair (lo, hi), got {init_box}")
@@ -321,19 +341,21 @@ def build_sde_dataset(c: SdeCoeffs, grid: TimeGrid, init_box, o: McOracle,
     dim = 1 + n_modes
     inputs = [np.zeros((n_orbit_samples, dim)) for _ in range(len(times) - 1)]
     targets = [np.zeros((n_orbit_samples, dim)) for _ in range(len(times) - 1)]
+    # step-major, so rec.T is (n_paths, steps) with contiguous Euler columns
+    rec = np.empty((o.grid_index(float(times[-1])), o.n_paths))
+    sqrt_dt = math.sqrt(o.dt)
     for s in range(n_orbit_samples):
+        orbit_seed = (seed * 2_654_435_761 + s * 40_503) % (2 ** 31 - 1)
+        np.random.default_rng(orbit_seed).standard_normal(out=rec)
+        rec *= sqrt_dt  # in place: a scaled copy would double the peak
         coords = ChaosCoords(mean=float(means0[s]), coeffs=np.zeros(0), horizon=0.0)
         for j in range(len(times) - 1):
             t_j, t_jp1 = float(times[j]), float(times[j + 1])
-            step_seed = (seed * 2_654_435_761 + s * 40_503 + j) % (2 ** 31 - 1)
-            step_oracle = McOracle(
-                n_paths=o.n_paths, n_steps=o.n_steps, seed=step_seed, tamed=o.tamed
-            )
             full = np.zeros(dim)
             full[: 1 + coords.n_modes] = coords.as_vector()
             inputs[j][s] = full
-            res = sde_solve_mc(c, coords, t_j, t_jp1, step_oracle)
-            modes_here = min(n_modes, step_oracle.grid_index(t_jp1))
+            res = sde_solve_mc(c, coords, t_j, t_jp1, o, dB=rec.T)
+            modes_here = min(n_modes, o.grid_index(t_jp1))
             proj = project_chaos(res.endpoints, (res.dB, res.dt), t_jp1, modes_here)
             nxt = np.zeros(dim)
             nxt[: 1 + modes_here] = proj.coords.as_vector()

@@ -87,6 +87,25 @@ class TestExitCodes:
         })
         assert run(["budget", cfg]) == 3
 
+    @pytest.mark.parametrize("regularity", [
+        {"kind": "holder", "alpha": 1.0}, {"kind": "smooth", "k": 1},
+    ])
+    def test_huge_n_in_is_3_without_the_exact_power(self, tmp_path, regularity):
+        # n_in fits np.intp, but 3 ** n_in as an exact integer would never finish
+        cfg = write_cfg(tmp_path, "b.yaml", {
+            "regularity": regularity, "eps_D": 0.5, "eps_A": 0.5,
+            "n_in": 1_000_000_000_000_000_000, "n_out": 1,
+            "out_dir": str(tmp_path / "o"),
+        })
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnoweave.cli", "budget", cfg],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 3, proc.stderr
+
     def test_training_shortfall_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "t.yaml", {
             "dims": [1, 2, 1], "target": "sin", "gate": 1e-9,

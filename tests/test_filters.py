@@ -2,6 +2,7 @@
 formulas, and the three-term error decomposition."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,30 @@ class TestBudgets:
                 eps_D=1.0, eps_A=1e-9, lam=1.0, regularity=Holder(0.01),
                 n_in=8, n_out=8,
             ))
+
+    @pytest.mark.parametrize("regularity, n_in", [
+        (Holder(1.0), 10 ** 18), (Smooth(1), 10 ** 18), (Smooth(10 ** 18), 1),
+    ])
+    def test_huge_exponent_overflows_before_the_exact_power(self, regularity, n_in):
+        # 3 ** n, k ** (n + 1), (k + 1) ** n and 8 ** k would each run for hours
+        fn = filters.budget_holder if isinstance(regularity, Holder) else filters.budget_smooth
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetOverflowError):
+            fn(filters.BudgetInput(eps_D=1.0, eps_A=0.5, lam=1e-6,
+                                   regularity=regularity, n_in=n_in, n_out=1))
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("regularity, n_in, eps_A, lam", [
+        # A ~ e^699 fits, C1 (A + 2) log2(8 A) does not
+        (Smooth(1), 1, 4e-152, 1.0),
+        # V argument 1, so B = 2^636 ~ e^441 and C1 = 3^636 ~ e^699 fit; C1 (B + 2) does not
+        (Holder(1.0), 636, 0.5, 1.0 / (131 * 636)),
+    ])
+    def test_width_past_float_range_is_typed(self, regularity, n_in, eps_A, lam):
+        fn = filters.budget_holder if isinstance(regularity, Holder) else filters.budget_smooth
+        with pytest.raises(BudgetOverflowError):
+            fn(filters.BudgetInput(eps_D=1.0, eps_A=eps_A, lam=lam,
+                                   regularity=regularity, n_in=n_in, n_out=1))
 
     @pytest.mark.parametrize("eps_A", [0.0, -1.0, float("nan")])
     def test_nonpositive_tolerance_rejected(self, eps_A):

@@ -2,6 +2,7 @@
 orbit dataset builder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,30 @@ class TestSolve:
         assert np.array_equal(r1.endpoints, r2.endpoints)
         assert np.array_equal(r1.dB, r2.dB)
 
+    def test_recorded_increments_match_the_own_draw(self):
+        c = sde.ou_coeffs()
+        o = sde.McOracle(n_paths=300, n_steps=16, seed=7)
+        eta = sde.ChaosCoords(mean=0.4, coeffs=np.array([0.3, -0.2]), horizon=0.25)
+        own = sde.sde_solve_mc(c, eta, 0.25, 0.5, o)
+        given = sde.sde_solve_mc(c, eta, 0.25, 0.5, o, dB=sde._draw_increments(o, 8))
+        assert np.array_equal(given.endpoints, own.endpoints)
+        assert np.array_equal(given.dB, own.dB)
+        # a longer record is read up to t_ip1 only
+        long = RNG(1).standard_normal((300, 16)) * math.sqrt(o.dt)
+        full = sde.sde_solve_mc(c, eta, 0.25, 0.5, o, dB=long)
+        prefix = sde.sde_solve_mc(c, eta, 0.25, 0.5, o, dB=long[:, :8].copy())
+        assert np.array_equal(full.endpoints, prefix.endpoints)
+        assert full.dB.shape == (300, 8)
+
+    @pytest.mark.parametrize("shape", [(299, 8), (300, 7), (300,)])
+    def test_recorded_increments_validated(self, shape):
+        c = sde.ou_coeffs()
+        o = sde.McOracle(n_paths=300, n_steps=16, seed=7)
+        eta = sde.ChaosCoords(mean=0.4, coeffs=np.zeros(0), horizon=0.0)
+        with pytest.raises(InvalidArgumentError, match=r"\(300, 8\)") as info:
+            sde.sde_solve_mc(c, eta, 0.0, 0.5, o, dB=np.zeros(shape))
+        assert str(shape) in str(info.value)
+
 
 class TestProjectChaos:
     def test_affine_in_noise_recovered(self):
@@ -147,6 +172,33 @@ class TestLipschitz:
         assert out["ratios"] == []
         assert out["max_ratio"] == 0.0
 
+    def test_one_draw_gives_the_per_pair_ratios(self, monkeypatch):
+        c = sde.ou_coeffs(rate=1.0, sigma=0.5)
+        o = sde.McOracle(n_paths=2_000, n_steps=32, seed=6)
+        rng = RNG(8)
+        pairs = [
+            tuple(sde.ChaosCoords(mean=float(rng.uniform(-1, 1)),
+                                  coeffs=rng.uniform(-0.5, 0.5, 3), horizon=0.25)
+                  for _ in range(2))
+            for _ in range(4)
+        ]
+        direct = []
+        for eta_a, eta_b in pairs:  # each solve draws its own record
+            res_a = sde.sde_solve_mc(c, eta_a, 0.25, 0.5, o)
+            res_b = sde.sde_solve_mc(c, eta_b, 0.25, 0.5, o)
+            den = math.sqrt(float(np.mean(
+                (sde.synthesize_eta(eta_a, res_a.dB, res_a.dt)
+                 - sde.synthesize_eta(eta_b, res_b.dB, res_b.dt)) ** 2)))
+            num = math.sqrt(float(np.mean((res_a.endpoints - res_b.endpoints) ** 2)))
+            direct.append(num / den)
+        draws = []
+        real = sde._draw_increments
+        monkeypatch.setattr(sde, "_draw_increments",
+                            lambda *a: draws.append(a) or real(*a))
+        out = sde.lipschitz_check(c, pairs, 0.25, 0.5, o)
+        assert out["ratios"] == direct
+        assert len(draws) == 1
+
 
 class TestGrowthRatio:
     def test_ou_growth_at_most_mg(self):
@@ -181,3 +233,64 @@ class TestDataset:
         for w1, w2 in zip(d1.windows, d2.windows):
             assert np.array_equal(w1["inputs"], w2["inputs"])
             assert np.array_equal(w1["targets"], w2["targets"])
+
+    def test_one_record_per_orbit(self, monkeypatch):
+        draws = []
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                return getattr(self._gen, name)
+
+            def standard_normal(self, *args, **kwargs):
+                out = self._gen.standard_normal(*args, **kwargs)
+                draws.append(out.shape)
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: Counting(real(*a)))
+        monkeypatch.setattr(sde, "_draw_increments", None)  # never the per-step draw
+        o = sde.McOracle(n_paths=200, n_steps=16, seed=0)
+        sde.build_sde_dataset(sde.ou_coeffs(), cno.TimeGrid(0.25 * np.arange(4)),
+                              (-1.0, 1.0), o, 2, 5, seed=9)
+        assert draws == [(12, 200)] * 5  # step-major: grid_index(t_end) x n_paths
+
+    def test_windows_chain(self):
+        o = sde.McOracle(n_paths=200, n_steps=16, seed=0)
+        ds = sde.build_sde_dataset(sde.ou_coeffs(), cno.TimeGrid(0.25 * np.arange(4)),
+                                   (-1.0, 1.0), o, 3, 4, seed=2)
+        for w, nxt in zip(ds.windows, ds.windows[1:]):
+            for row in range(4):
+                assert np.array_equal(nxt["inputs"][row], w["targets"][row])
+
+    def test_documented_orbit_seed(self):
+        # orbit s reads a step-major record from (seed * 2654435761 + s * 40503) mod (2^31 - 1)
+        c = sde.ou_coeffs()
+        o = sde.McOracle(n_paths=300, n_steps=16, seed=0)
+        seed, s = 3, 2
+        ds = sde.build_sde_dataset(c, cno.TimeGrid(0.25 * np.arange(3)), (-1.0, 1.0),
+                                   o, 2, 3, seed=seed)
+        mean0 = RNG(seed).uniform(-1.0, 1.0, size=3)[s]
+        orbit_seed = (seed * 2_654_435_761 + s * 40_503) % (2 ** 31 - 1)
+        rec = RNG(orbit_seed).standard_normal((8, 300)) * math.sqrt(o.dt)
+        eta = sde.ChaosCoords(mean=mean0, coeffs=np.zeros(0), horizon=0.0)
+        res = sde.sde_solve_mc(c, eta, 0.0, 0.25, o, dB=rec.T)
+        proj = sde.project_chaos(res.endpoints, (res.dB, res.dt), 0.25, 2)
+        assert np.array_equal(ds.windows[0]["targets"][s], proj.coords.as_vector())
+
+    def test_memory_is_one_record(self):
+        # the old per-step draws held two n_paths x steps arrays at once
+        o = sde.McOracle(n_paths=4_000, n_steps=64, seed=0)
+        grid = cno.TimeGrid(0.25 * np.arange(5))
+        record_bytes = 4_000 * 64 * 8
+        # warm up first: the first draw in a process allocates ~0.5 record once
+        sde.build_sde_dataset(sde.ou_coeffs(), grid, (-1.0, 1.0), o, 4, 1, seed=1)
+        tracemalloc.start()
+        try:
+            sde.build_sde_dataset(sde.ou_coeffs(), grid, (-1.0, 1.0), o, 4, 2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * record_bytes
