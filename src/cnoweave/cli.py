@@ -378,6 +378,8 @@ def cmd_inspect(bundle_dir: str) -> dict:
         "T": w.T,
         "M_T": w.M_T,
         "packing_min_separation": w.packing.min_separation(),
+        "hyper_dims": list(w.hyper_spec.dims),
+        "hyper_params": net.param_count(w.hyper_spec),
         "table2": weave.table2_report(w.P, w.Q, w.delta, w.T,
                                       measured_width=_hidden_width(w)),
         "config_hash": manifest["config_hash"],

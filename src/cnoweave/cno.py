@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import net, spaces, weave
-from .errors import InvalidArgumentError
+from .errors import IntegrityError, InvalidArgumentError
 
 __all__ = [
     "TimeGrid",
@@ -219,9 +219,10 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     Every window trains the same ``dims``, so the filters share one shape and
     the weave stores their parameters as trained.  Per window the empirical
     max coordinate-space error is gated against eps_A + eps_D; shortfalls are
-    recorded in the per-window report and the construction continues.
-    Deterministic in the seed (per-window seeds are derived, so the order
-    windows train in cannot change results).
+    recorded in the per-window report and the construction continues.  A
+    hypernetwork that misses a successor code is an IntegrityError, and no
+    model is returned.  Deterministic in the seed (per-window seeds are
+    derived, so the order windows train in cannot change results).
     """
     I = ds.n_windows
     horizon = weave.viable_horizon(Q, delta)
@@ -265,6 +266,7 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
 
     wmodel = weave.build_weave(np.stack([r[0] for r in results]), Q=Q, delta=delta,
                                seed=seed)
+    _check_successors(wmodel)
     reports = [r[1] for r in results]
     # the slopes live in theta, so a PReLU spec runs the ReLU-trained filters as trained
     model = CnoModel(
@@ -273,6 +275,24 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
         reports=reports, Q=Q, delta=delta, seed=seed,
     )
     return model, reports
+
+
+def _check_successors(w: weave.WeaveModel):
+    """Raise IntegrityError unless the hypernetwork maps every latent code to
+    the next one within 1e-9 of the codes' scale: one batched forward, not a
+    rollout."""
+    if w.T < 2:
+        return
+    miss = np.max(np.abs(net.forward(w.hyper_spec, w.hyper_theta, w.codes[:-1])
+                         - w.codes[1:]), axis=1)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(w.codes))))
+    bad = np.flatnonzero(~(miss <= tol))  # a NaN miss is a miss
+    if bad.size:
+        t = int(bad[0])
+        raise IntegrityError(
+            f"the weave misses window {t + 1}: its hypernetwork maps window {t}'s "
+            f"code {miss[t]:.3g} away from window {t + 1}'s (tolerance {tol:.3g})"
+        )
 
 
 def predict_paths(model: CnoModel, paths, horizon: int = None) -> np.ndarray:

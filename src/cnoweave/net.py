@@ -167,6 +167,13 @@ def forward(spec: NetSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"input has last dim {h.shape[-1]}, spec expects {spec.d_in}"
         )
+    return _realize(layers, c, h)
+
+
+def _realize(layers, c, h):
+    """The layer loop of :func:`forward` on unpacked blocks and a float input
+    of the right width; a caller that evaluates one net many times unpacks
+    once and calls this."""
     for A, b, alpha in layers:
         h = _prelu(h + b, alpha) @ A.T
     return h + c

@@ -6,6 +6,13 @@ and (p_t) is a delta-packing of the unit ball in R^Q.  The packing block makes
 the codes pairwise well-separated regardless of the thetas, a ReLU network
 memorizes the successor map z_t -> z_{t+1} exactly, and a linear readout
 (scale the first P coordinates by M_T) recovers each theta in turn.
+
+With N = T - 1 >= 2 memorized pairs the hypernetwork has dims
+(P+Q, 1, 2(N-1), P+Q): one projection of the code to a line, a scalar shift
+gamma that keeps that projection positive on every code, a fan-out to the
+2(N-1) knot units, and the slope block (see :func:`memorize`).  Weaves saved
+with the earlier (P+Q, 2(N-1), P+Q) layout, whose first layer repeats the
+projection on every hidden row, load and decode unchanged.
 """
 
 from __future__ import annotations
@@ -197,9 +204,23 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     away from each anchor, so every anchor sits inside a flat plateau: exact
     interpolation is unchanged, and — crucially for chained evaluation — the
     local slope at each anchor is zero, so float-level input noise is damped
-    rather than amplified when the network is iterated.  The first layer
-    shifts all anchors into the positive orthant so its ReLU acts as the
-    identity at every anchor.
+    rather than amplified when the network is iterated.
+
+    For N >= 2 anchors the network has dims ``(n, 1, 2(N-1), d)``:
+
+    - layer 0 is the projection direction w as a 1 x n block; its input
+      shift beta moves every anchor into the positive orthant, so its ReLU
+      is the identity there and it computes p = relu(x + beta) . w;
+    - layer 1 is a column of ones with the scalar input shift
+      gamma = 1 + max(0, -min_k p_k), taken over the anchors' p as the
+      network computes them, so its ReLU passes p + gamma >= 1 unchanged
+      and fans it out to every hidden unit;
+    - layer 2 is the slope block, with knot biases
+      -(u + beta * sum(w) + gamma) and -(v + beta * sum(w) + gamma) that
+      take both shifts back out.
+
+    The projection is one dot product per input, not one per hidden unit.
+    A single anchor gives the constant net ``(n, d)``.
     """
     xs = np.asarray([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in pairs])
     ys = np.asarray([np.atleast_1d(np.asarray(p[1], dtype=np.float64)) for p in pairs])
@@ -253,19 +274,23 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     v = s_sorted[1:] - 0.25 * gaps
     slopes = (y_sorted[1:] - y_sorted[:-1]) / (v - u)[:, None]  # (N-1, d)
 
-    width = 2 * (N - 1)
-    A0 = np.tile(w, (width, 1))
     b0 = np.full(n, beta)
-    b1 = np.empty(width)
-    b1[0::2] = -(u + w_offset)
-    b1[1::2] = -(v + w_offset)
-    A1 = np.empty((d, width))
-    A1[:, 0::2] = slopes.T
-    A1[:, 1::2] = -slopes.T
+    # the projection as layer 0 computes it; gamma keeps it positive on anchors
+    p = np.maximum(xs + b0, 0.0) @ w
+    gamma = 1.0 + max(0.0, -float(p.min()))
+
+    width = 2 * (N - 1)
+    b2 = np.empty(width)
+    b2[0::2] = -(u + w_offset + gamma)
+    b2[1::2] = -(v + w_offset + gamma)
+    A2 = np.empty((d, width))
+    A2[:, 0::2] = slopes.T
+    A2[:, 1::2] = -slopes.T
     c = y_sorted[0]
 
-    spec = net.NetSpec((n, width, d), "relu")
-    theta = net.pack(spec, [(A0, b0, 0.0), (A1, b1, 0.0)], c)
+    spec = net.NetSpec((n, 1, width, d), "relu")
+    theta = net.pack(spec, [(w[None, :], b0, 0.0), (np.ones((width, 1)), [gamma], 0.0),
+                            (A2, b2, 0.0)], c)
     return Memorizer(spec, theta, width=width, width_bound=width_bound,
                      within_bound=width <= width_bound)
 
@@ -284,6 +309,15 @@ class WeaveModel:
     hyper_spec: net.NetSpec
     hyper_theta: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        dim = self.P + self.Q
+        if self.codes.ndim != 2 or self.codes.shape[1] != dim:
+            raise InvalidArgumentError(f"codes must be (T, {dim}), got {self.codes.shape}")
+        if (self.hyper_spec.d_in, self.hyper_spec.d_out) != (dim, dim):
+            raise InvalidArgumentError(
+                f"hypernetwork dims {self.hyper_spec.dims} must map R^{dim} to R^{dim}"
+            )
 
     @property
     def T(self):
@@ -346,12 +380,14 @@ def rollout(w: WeaveModel, steps: int):
     """theta-hat sequence: read out, advance the latent code, repeat."""
     if steps < 1 or steps > w.T:
         raise InvalidArgumentError(f"steps must be in [1, {w.T}], got {steps}")
+    # unpacked once: each step is net.forward's layer loop and nothing else
+    layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
     out = []
     z = np.array(w.z0, copy=True)
     for i in range(steps):
         out.append(w.readout(z))
         if i < steps - 1:
-            z = net.forward(w.hyper_spec, w.hyper_theta, z)
+            z = net._realize(layers, c, z)
     return out
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, manifests, and artifact determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnoweave import cli, cno, serial
+from cnoweave import cli, cno, net, serial, weave
 from cnoweave.errors import OracleDivergedError
 
 
@@ -155,6 +156,23 @@ class TestExitCodes:
         (out / "bundle" / "manifest.json").write_text(text)
         assert run(["inspect", str(out / "bundle")]) == 5
         assert "integrity failure" in capsys.readouterr().err
+
+    def test_weave_miss_is_5_and_saves_nothing(self, tmp_path, capsys, monkeypatch):
+        real = weave.build_weave
+
+        def perturbed(*args, **kwargs):
+            w = real(*args, **kwargs)
+            return dataclasses.replace(w, hyper_theta=w.hyper_theta + 1e-6)
+
+        monkeypatch.setattr(weave, "build_weave", perturbed)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "c.yaml", {
+            "T": 3, "M": 2, "n_train": 32, "hidden": [4], "train": {"epochs": 2},
+            "out_dir": str(out),
+        })
+        assert run(["construct", cfg]) == 5
+        assert "integrity failure: the weave misses window" in capsys.readouterr().err
+        assert not (out / "bundle").exists()
 
     def test_training_divergence_is_6(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "t.yaml", {
@@ -308,6 +326,10 @@ class TestPipeline:
         summary = json.loads(capsys.readouterr().out)
         assert summary["T"] == 3
         assert summary["Q"] == 4
+        # P + Q = 53 + 4 code coordinates; 3 codes: 2 memorized pairs, 2 knot units
+        assert summary["P"] == 53
+        assert summary["hyper_dims"] == [57, 1, 2, 57]
+        assert summary["hyper_params"] == net.param_count(net.NetSpec((57, 1, 2, 57)))
 
 
 class TestWeaveTest:

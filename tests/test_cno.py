@@ -1,11 +1,13 @@
 """End-to-end causal construction: windows, training gates, determinism,
 weaving, rollout prediction, and the causality audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cnoweave import bench, cno, net, serial, weave
-from cnoweave.errors import InvalidArgumentError
+from cnoweave.errors import IntegrityError, InvalidArgumentError
 
 RNG = np.random.default_rng
 
@@ -172,6 +174,20 @@ class TestConstruct:
             assert reports[i].error == err
             assert reports[i].epochs == len(trace)
             assert np.array_equal(w.codes[i, : w.P], theta / w.M_T)
+
+    def test_hypernetwork_miss_is_an_integrity_error(self, monkeypatch):
+        real = weave.build_weave
+
+        def perturbed(*args, **kwargs):
+            w = real(*args, **kwargs)
+            theta = w.hyper_theta.copy()
+            theta[-1] += 1e-6  # the output bias: every successor moves
+            return dataclasses.replace(w, hyper_theta=theta)
+
+        monkeypatch.setattr(weave, "build_weave", perturbed)
+        with pytest.raises(IntegrityError, match="misses window 1:"):
+            cno.construct_cno(toy_dataset(T=3, M=2), eps_D=0.5, eps_A=0.5, Q=4,
+                              delta=0.5, seed=0, train_opts={"epochs": 5})
 
     def test_rollout_matches_stored_filters(self):
         ds = toy_dataset(T=4, M=2)

@@ -1,5 +1,6 @@
 """Binary formats and bundle integrity."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -24,6 +25,18 @@ def small_model(seed=0):
     model, _ = cno.construct_cno(ds, eps_D=0.3, eps_A=0.3, Q=4, delta=0.5,
                                  seed=seed, train_opts={"epochs": 20})
     return model
+
+
+def tiled_layout(w):
+    """``w`` with its hypernetwork in the (n, 2(N-1), d) layout: the
+    projection direction tiled over the hidden rows, gamma folded into the
+    hidden biases."""
+    layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
+    (A0, b0, _), (A1, (gamma,), _), (A2, b2, _) = layers
+    spec = net.NetSpec((A0.shape[1], A2.shape[1], A2.shape[0]), "relu")
+    theta = net.pack(spec, [(np.tile(A0, (A1.shape[0], 1)), b0, 0.0),
+                            (A2, b2 + gamma, 0.0)], c)
+    return dataclasses.replace(w, hyper_spec=spec, hyper_theta=theta)
 
 
 class TestNetFormat:
@@ -70,6 +83,30 @@ class TestWeaveFormat:
         for a, b in zip(weave.rollout(w, 6), weave.rollout(w2, 6)):
             assert np.array_equal(a, b)
 
+    def test_tiled_layout_loads_and_decodes(self, tmp_path):
+        # weaves saved before the width-1 projection layer repeat w on every
+        # hidden row and keep gamma in the hidden biases
+        th = RNG(5).standard_normal((12, 30))
+        w = weave.build_weave(th, Q=4, delta=0.5, seed=0)
+        p = tmp_path / "w.bin"
+        serial.save_weave(str(p), tiled_layout(w))
+        loaded = serial.load_weave(str(p))
+        # T codes, so T - 1 memorized pairs and 2(T - 2) knot units
+        assert loaded.hyper_spec.dims == (w.P + w.Q, 2 * (w.T - 2), w.P + w.Q)
+        scale = max(1.0, float(np.abs(th).max()))
+        for t, theta in enumerate(weave.rollout(loaded, w.T)):
+            assert np.max(np.abs(theta - th[t])) / scale <= 1e-6
+
+    @pytest.mark.parametrize("layout", [lambda w: w, tiled_layout], ids=["width1", "tiled"])
+    def test_rollout_is_chained_forward(self, layout):
+        w = layout(weave.build_weave(RNG(6).standard_normal((7, 11)), Q=4, delta=0.5, seed=0))
+        z = w.z0
+        chained = []
+        for _ in range(w.T):
+            chained.append(w.readout(z))
+            z = net.forward(w.hyper_spec, w.hyper_theta, z)
+        for a, b in zip(weave.rollout(w, w.T), chained):
+            assert np.array_equal(a, b)
 
     def test_load_peak_below_one_and_a_half_payloads(self, tmp_path):
         w = weave.build_weave(RNG(3).standard_normal((8, 20_000)), Q=4, delta=0.5, seed=0)

@@ -1,5 +1,6 @@
 """Packings, aspect ratios, exact memorization, and the dynamic weave."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -96,6 +97,44 @@ class TestMemorize:
         assert m.width == max(m.spec.dims[1:-1])
         assert m.width_bound == 3 * 5 + 12
 
+    @pytest.mark.parametrize("N", [2, 3, 9])
+    def test_width_one_projection_layout(self, N):
+        rng = RNG(N)
+        pairs = [(rng.standard_normal(4), rng.standard_normal(3)) for _ in range(N)]
+        m = weave.memorize(pairs, seed=0)
+        assert m.spec.dims == (4, 1, 2 * (N - 1), 3)
+        assert m.width == max(m.spec.dims[1:-1]) == 2 * (N - 1)
+
+    def test_far_anchors_with_projections_of_both_signs(self):
+        # anchors near -1e8: beta is ~1e8, and the projections p straddle 0,
+        # so gamma must lift them before layer 1's ReLU
+        rng = RNG(1)
+        xs = -1e8 + 10 * rng.random((6, 3))
+        ys = rng.standard_normal((6, 2))
+        m = weave.memorize(list(zip(xs, ys)), seed=0)
+        layers, _ = net.unpack(m.spec, m.theta)
+        (A0, b0, _), (A1, b1, _), _ = layers
+        p = np.maximum(xs + b0, 0.0) @ A0[0]
+        assert p.min() < 0.0 < p.max()
+        assert np.array_equal(A1, np.ones((10, 1)))
+        assert b1[0] == 1.0 - p.min()
+        worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)))
+        assert worst <= 1e-9
+
+    def test_zero_slope_at_every_anchor(self):
+        # the plateau property: a central difference along every coordinate
+        # direction vanishes at each anchor
+        rng = RNG(3)
+        xs = rng.standard_normal((32, 8))
+        ys = rng.standard_normal((32, 8))
+        m = weave.memorize(list(zip(xs, ys)), seed=0)
+        h = 1e-6
+        steps = h * np.eye(8)
+        plus = net.forward(m.spec, m.theta, xs[:, None, :] + steps)
+        minus = net.forward(m.spec, m.theta, xs[:, None, :] - steps)
+        slopes = (plus - minus) / (2 * h)  # (anchor, direction, output)
+        assert np.max(np.abs(slopes)) <= 1e-6
+
 
 class TestBuildWeave:
     def test_t1_trivial(self):
@@ -147,6 +186,15 @@ class TestBuildWeave:
         for t in range(7):
             nxt = net.forward(w.hyper_spec, w.hyper_theta, w.codes[t])
             assert np.max(np.abs(nxt - w.codes[t + 1])) <= 1e-9
+
+    def test_hypernetwork_must_map_codes_to_codes(self):
+        w = weave.build_weave(RNG(13).standard_normal((3, 4)), Q=4, delta=0.5)
+        spec = net.NetSpec((8, 2, 7), "relu")
+        with pytest.raises(InvalidArgumentError, match="hypernetwork dims"):
+            dataclasses.replace(w, hyper_spec=spec,
+                                hyper_theta=np.zeros(net.param_count(spec)))
+        with pytest.raises(InvalidArgumentError, match="codes"):
+            dataclasses.replace(w, codes=w.codes[:, 1:])
 
     def test_rollout_steps_validated(self):
         th = RNG(8).standard_normal((4, 3))
