@@ -121,6 +121,26 @@ class CnoModel:
     delta: float
     seed: int
 
+    def __post_init__(self):
+        """The fields must describe the weave they carry: its P, Q, delta and
+        seed, and the filter shape the windows feed."""
+        w = self.weave_model
+        spec = self.synced_spec
+        if net.param_count(spec) != w.P:
+            raise InvalidArgumentError(
+                f"synced dims hold {net.param_count(spec)} parameters, the weave stores P={w.P}"
+            )
+        if self.M * self.step_dim != spec.d_in or self.out_dim != spec.d_out:
+            raise InvalidArgumentError(
+                f"M*step_dim={self.M * self.step_dim} and out_dim={self.out_dim} must "
+                f"match the synced dims {spec.dims}"
+            )
+        if (self.Q, self.delta, self.seed) != (w.Q, w.delta, w.seed):
+            raise InvalidArgumentError(
+                f"Q, delta, seed = {self.Q}, {self.delta}, {self.seed} disagree with the "
+                f"weave's {w.Q}, {w.delta}, {w.seed}"
+            )
+
     @property
     def horizon(self):
         return self.weave_model.T
@@ -225,6 +245,8 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     derived, so the order windows train in cannot change results).
     """
     I = ds.n_windows
+    if I == 0:
+        raise InvalidArgumentError("the dataset has no windows to train")
     horizon = weave.viable_horizon(Q, delta)
     if I > horizon:
         raise InvalidArgumentError(

@@ -437,6 +437,11 @@ def train(spec: NetSpec, dataset, opts=None):
         raise InvalidArgumentError(f"ill-typed train option: {e}") from e
     if batch < 1:
         raise InvalidArgumentError(f"train option batch must be >= 1, got {batch}")
+    if epochs < 0 or seed < 0:
+        raise InvalidArgumentError(f"train options epochs and seed must be >= 0, "
+                                   f"got {epochs} and {seed}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidArgumentError(f"train option lr must be finite and positive, got {lr}")
     rng = np.random.default_rng(seed)
     theta = init_params(spec, seed)
     # the step updates theta in place through these views, so a minibatch

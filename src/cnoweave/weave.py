@@ -220,7 +220,9 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
       take both shifts back out.
 
     The projection is one dot product per input, not one per hidden unit.
-    A single anchor gives the constant net ``(n, d)``.
+    A single anchor gives the constant net ``(n, d)``.  Anchors that are
+    equal, or too close for any searched projection to separate, raise
+    InvalidArgumentError.
     """
     xs = np.asarray([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in pairs])
     ys = np.asarray([np.atleast_1d(np.asarray(p[1], dtype=np.float64)) for p in pairs])
@@ -230,8 +232,6 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
         raise InvalidArgumentError("anchors and their targets must be finite")
     N, n = xs.shape
     d = ys.shape[1]
-    if len(np.unique(xs, axis=0)) != N:
-        raise InvalidArgumentError("anchor inputs must be pairwise distinct")
 
     # reported width budget: n (N - 1) + max{d, 12}
     width_bound = n * (N - 1) + max(d, 12)
@@ -242,8 +242,10 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
         return Memorizer(spec, theta, width=d, width_bound=width_bound,
                          within_bound=d <= width_bound)
 
+    # the search is also the distinctness check: equal anchors give a zero
+    # (or rounding-level) gap on every projection, never above 1e-12 of the span
     rng = np.random.default_rng(seed)
-    best_w = None
+    best = None
     best_quality = 0.0
     for _ in range(256):
         w = rng.standard_normal(n)
@@ -253,11 +255,11 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
             continue
         quality = float(np.diff(np.sort(s)).min()) / span
         if quality > best_quality:
-            best_quality, best_w = quality, w
-    if best_w is None or best_quality <= 1e-12:
-        raise InvalidArgumentError("could not separate anchors by a random projection")
-    w = best_w
-    s = xs @ w
+            best_quality, best = quality, (w, s)
+    if best is None or best_quality <= 1e-12:
+        raise InvalidArgumentError("anchor inputs must be pairwise distinct: some are "
+                                   "equal, or too close for a random projection to separate")
+    w, s = best
     order = np.argsort(s)
 
     s_sorted = s[order]
@@ -345,7 +347,9 @@ def viable_horizon(Q: int, delta: float) -> int:
 
 
 def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> WeaveModel:
-    """Assemble latent codes for a parameter sequence and memorize successors."""
+    """Assemble latent codes for a parameter sequence and memorize successors.
+    A single code has no successor, so it memorizes z0 -> z0: the constant
+    net ``(P+Q, P+Q)``, which a one-step rollout never evaluates."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or len(thetas) == 0:
         raise InvalidArgumentError("thetas must be a nonempty (T, P) array")
@@ -361,18 +365,11 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
     M_T = max(1.0, m_t)
     packing = pack_ball(Q, R, delta, T, seed=seed)
     codes = np.hstack([thetas / M_T, packing.points[:T]])
-    if T == 1:
-        dim = P + Q
-        hyper_spec = net.NetSpec((dim, dim), "relu")
-        hyper_theta = net.pack(
-            hyper_spec, [(np.zeros((dim, dim)), np.zeros(dim), 0.0)], np.zeros(dim)
-        )
-    else:
-        mem = memorize(list(zip(codes[:-1], codes[1:])), seed=seed)
-        hyper_spec, hyper_theta = mem.spec, mem.theta
+    pairs = list(zip(codes[:-1], codes[1:])) if T > 1 else [(codes[0], codes[0])]
+    mem = memorize(pairs, seed=seed)
     return WeaveModel(
         Q=Q, P=P, M_T=M_T, delta=delta, R=R, packing=packing, codes=codes,
-        hyper_spec=hyper_spec, hyper_theta=hyper_theta, seed=seed,
+        hyper_spec=mem.spec, hyper_theta=mem.theta, seed=seed,
     )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -183,6 +184,13 @@ class TestExitCodes:
             assert run(["train-filter", cfg]) == 6
         assert "diverged" in capsys.readouterr().err
 
+    def test_negative_epochs_is_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "t.yaml", {
+            "dims": [1, 4, 1], "train": {"epochs": -1}, "out_dir": str(tmp_path / "o"),
+        })
+        assert run(["train-filter", cfg]) == 2
+        assert "epochs" in capsys.readouterr().err
+
     def test_oracle_divergence_is_6(self, tmp_path, monkeypatch):
         def diverging(cfg):
             raise OracleDivergedError("simulation produced non-finite values", step=3)
@@ -330,6 +338,27 @@ class TestPipeline:
         assert summary["P"] == 53
         assert summary["hyper_dims"] == [57, 1, 2, 57]
         assert summary["hyper_params"] == net.param_count(net.NetSpec((57, 1, 2, 57)))
+
+
+@pytest.mark.parametrize("field, value", [("M", 3), ("Q", 7), ("delta", 0.25),
+                                          ("seed", 1), ("out_dim", 2), ("step_dim", 2)])
+def test_model_json_that_disagrees_with_its_weave_is_5(bundle, tmp_path, capsys,
+                                                       field, value):
+    # the bundle has M=2, Q=4, delta=0.5, seed=0; the manifest is rehashed, so
+    # only the check of model.json against the weave can catch the edit
+    _, out = bundle
+    tampered = tmp_path / "bundle"
+    shutil.copytree(out / "bundle", tampered)
+    meta = json.loads((tampered / "model.json").read_text())
+    (tampered / "model.json").write_text(json.dumps({**meta, field: value}))
+    serial.write_manifest(str(tampered), {}, serial.BUNDLE_FILES, {})
+    cfg = write_cfg(tmp_path, "p.yaml", {"bundle": str(tampered),
+                                         "path": [[0.5], [0.25], [0.75]],
+                                         "out_dir": str(tmp_path / "o")})
+    assert run(["predict", cfg]) == 5
+    assert run(["inspect", str(tampered)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("integrity failure") == 2 and "config error" not in err
 
 
 class TestWeaveTest:

@@ -127,6 +127,11 @@ class TestConstruct:
             direct = net.forward(model.synced_spec, theta, win)
             assert np.array_equal(cno.predict(model, row[:, None])[0], direct)
 
+    def test_no_windows_rejected(self):
+        ds = cno.CausalDataset(grid=cno.TimeGrid(np.zeros(1)), M=1, step_dim=1, windows=[])
+        with pytest.raises(InvalidArgumentError, match="no windows"):
+            cno.construct_cno(ds, eps_D=0.1, eps_A=0.1, Q=4, delta=0.5, seed=0)
+
     def test_windows_exceeding_horizon_rejected(self):
         ds = toy_dataset(T=5, M=2)
         with pytest.raises(InvalidArgumentError):

@@ -336,6 +336,15 @@ class TestTrain:
         with pytest.raises(InvalidArgumentError):
             net.train(spec, (np.zeros((4, 1)), np.zeros((4, 1))), opts)
 
+    @pytest.mark.parametrize("opts", [{"epochs": -3}, {"seed": -1}, {"lr": 0.0},
+                                      {"lr": -0.05}, {"lr": float("nan")},
+                                      {"lr": float("inf")}])
+    def test_out_of_range_options_rejected(self, opts):
+        # epochs=-3 used to return the initial parameters with an empty trace
+        spec = net.NetSpec((1, 1))
+        with pytest.raises(InvalidArgumentError, match=next(iter(opts))):
+            net.train(spec, (np.zeros((4, 1)), np.zeros((4, 1))), opts)
+
     def test_empty_dataset_rejected(self):
         spec = net.NetSpec((2, 1))
         with pytest.raises(InvalidArgumentError):

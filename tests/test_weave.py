@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cnoweave import net, weave
+from cnoweave import net, serial, weave
 from cnoweave.errors import BudgetOverflowError, InvalidArgumentError, PackingInfeasibleError
 
 RNG = np.random.default_rng
@@ -90,6 +90,18 @@ class TestMemorize:
         with pytest.raises(InvalidArgumentError):
             weave.memorize([(x, np.zeros(1)), (x, np.ones(1))])
 
+    def test_one_repeated_row_among_32_rejected(self):
+        # no separate uniqueness pass: the projection search alone rejects it
+        xs = RNG(4).standard_normal((32, 8))
+        xs[20] = xs[7]
+        with pytest.raises(InvalidArgumentError, match="distinct"):
+            weave.memorize(list(zip(xs, RNG(5).standard_normal((32, 8)))), seed=0)
+
+    def test_all_equal_anchors_rejected(self):
+        x = np.array([0.5, -1.0, 2.0])
+        with pytest.raises(InvalidArgumentError, match="distinct"):
+            weave.memorize([(x, np.full(2, float(k))) for k in range(5)])
+
     def test_width_reported(self):
         rng = RNG(2)
         pairs = [(rng.standard_normal(3), rng.standard_normal(2)) for _ in range(6)]
@@ -141,6 +153,18 @@ class TestBuildWeave:
         w = weave.build_weave(np.array([[1.0, 2.0, 3.0]]), Q=2, delta=0.5)
         assert w.T == 1
         assert np.array_equal(weave.rollout(w, 1)[0], [1.0, 2.0, 3.0])
+
+    def test_t1_hypernetwork_maps_z0_to_itself(self, tmp_path):
+        w = weave.build_weave(np.array([[1.0, -2.0, 3.0]]), Q=2, delta=0.5, seed=3)
+        assert w.hyper_spec.dims == (5, 5)
+        assert np.array_equal(net.forward(w.hyper_spec, w.hyper_theta, w.z0), w.z0)
+        assert np.array_equal(weave.rollout(w, 1)[0], [1.0, -2.0, 3.0])
+        serial.save_weave(str(tmp_path / "w.bin"), w)
+        w2 = serial.load_weave(str(tmp_path / "w.bin"))
+        assert w2.hyper_spec == w.hyper_spec
+        assert np.array_equal(w2.hyper_theta, w.hyper_theta)
+        assert np.array_equal(w2.codes, w.codes)
+        assert np.array_equal(weave.rollout(w2, 1)[0], [1.0, -2.0, 3.0])
 
     def test_constant_thetas_mt_floor(self):
         th = np.tile(np.array([2.0, -1.0]), (4, 1))
