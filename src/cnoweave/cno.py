@@ -33,6 +33,7 @@ __all__ = [
     "predict",
     "predict_paths",
     "causality_audit",
+    "successor_residuals",
 ]
 
 @dataclass(frozen=True)
@@ -170,13 +171,16 @@ def memory_for(eps_A: float, r: float, c_mem: float = 1.0) -> int:
 
 
 def _as_paths(paths, step_dim: int) -> np.ndarray:
-    """Paths as a float (n_paths, n_steps, step_dim) array; a 2-D array is a
-    batch of scalar-step paths.  Callers wrap a single path in a list."""
+    """Paths as a finite float (n_paths, n_steps, step_dim) array; a 2-D
+    array is a batch of scalar-step paths.  Callers wrap a single path in a
+    list."""
     paths = np.asarray(paths, dtype=np.float64)
     if paths.ndim == 2:
         paths = paths[:, :, None]
     if paths.ndim != 3:
         raise InvalidArgumentError(f"paths must be 2-D or 3-D, got {paths.ndim}-D")
+    if not np.isfinite(paths).all():
+        raise InvalidArgumentError("paths must be finite")
     if paths.shape[2] != step_dim:
         raise InvalidArgumentError(
             f"path step dim {paths.shape[2]} does not match {step_dim}"
@@ -299,21 +303,27 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     return model, reports
 
 
-def _check_successors(w: weave.WeaveModel):
-    """Raise IntegrityError unless the hypernetwork maps every latent code to
-    the next one within 1e-9 of the codes' scale: one batched forward, not a
-    rollout."""
+def successor_residuals(w: weave.WeaveModel) -> np.ndarray:
+    """Each code's one-step miss max|NN(z_t) - z_{t+1}| over the codes'
+    scale max(1, max|z|), for t < T - 1: one batched forward, not a rollout."""
     if w.T < 2:
-        return
+        return np.zeros(0)
     miss = np.max(np.abs(net.forward(w.hyper_spec, w.hyper_theta, w.codes[:-1])
                          - w.codes[1:]), axis=1)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(w.codes))))
-    bad = np.flatnonzero(~(miss <= tol))  # a NaN miss is a miss
+    return miss / max(1.0, float(np.max(np.abs(w.codes))))
+
+
+def _check_successors(w: weave.WeaveModel):
+    """Raise IntegrityError unless the hypernetwork maps every latent code to
+    the next one within 1e-9 of the codes' scale."""
+    residuals = successor_residuals(w)
+    bad = np.flatnonzero(~(residuals <= 1e-9))  # a NaN miss is a miss
     if bad.size:
         t = int(bad[0])
         raise IntegrityError(
             f"the weave misses window {t + 1}: its hypernetwork maps window {t}'s "
-            f"code {miss[t]:.3g} away from window {t + 1}'s (tolerance {tol:.3g})"
+            f"code {residuals[t]:.3g} of the codes' scale away from window {t + 1}'s "
+            f"(tolerance 1e-9)"
         )
 
 
@@ -355,6 +365,10 @@ def causality_audit(model: CnoModel, x_path_a, x_path_b, i: int) -> bool:
     if a.shape != b.shape:
         raise InvalidArgumentError("paths must share a shape")
     if not np.array_equal(a[: i + 1], b[: i + 1]):
+        # a NaN step never equals itself: name it, not a disagreement
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise InvalidArgumentError("paths must be finite")
         raise InvalidArgumentError("paths must agree on steps <= i")
+    # predict_paths rejects every other non-finite value, such as an inf prefix
     out = predict_paths(model, [a, b], horizon=i + 1)
     return bool(np.array_equal(out[0], out[1]))

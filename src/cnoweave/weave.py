@@ -8,7 +8,9 @@ memorizes the successor map z_t -> z_{t+1} exactly, and a linear readout
 (scale the first P coordinates by M_T) recovers each theta in turn.
 
 With N = T - 1 >= 2 memorized pairs the hypernetwork has dims
-(P+Q, 1, 2(N-1), P+Q): one projection of the code to a line, a scalar shift
+(P+Q, 1, 2(N-1), P+Q): one projection of the code to a line (a random
+direction in the span of the centered codes, searched through their small
+Gram matrix, so the search never draws a P+Q-wide vector), a scalar shift
 gamma that keeps that projection positive on every code, a fan-out to the
 2(N-1) knot units, and the slope block (see :func:`memorize`).  Weaves saved
 with the earlier (P+Q, 2(N-1), P+Q) layout, whose first layer repeats the
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 _PACK_RESTARTS = 8  # seeded random pools pack_ball tries before the lattice
+_SEARCH_TRIES = 256  # random directions memorize scores for its projection
 
 
 @dataclass(frozen=True)
@@ -193,11 +196,40 @@ class Memorizer(NamedTuple):
     within_bound: bool
 
 
+def _projection_direction(xs: np.ndarray, rng) -> np.ndarray:
+    """The best-separating of _SEARCH_TRIES random directions for the anchor
+    rows ``xs``: the one whose sorted projections have the largest min-gap
+    over span.
+
+    Only the projections D w of the centered anchors D = xs - mean matter,
+    and with the Gram D D^T = V diag(lam) V^T they are N(0, D D^T) both for a
+    standard normal w in R^n and for w = D^T V lam^-1/2 g with g standard
+    normal in R^r, r <= N - 1 the Gram's rank.  So each try draws r numbers,
+    not n; its centered projections are V lam^1/2 g, all tries are scored by
+    one sort, and only the winner becomes an n-vector, inside the row space
+    of D.  Equal anchors give the zero vector.
+    """
+    D = xs - xs.mean(axis=0)
+    lam, V = np.linalg.eigh(D @ D.T)
+    # eigenvalues at the Gram's rounding level carry no direction
+    keep = lam > lam[-1] * max(D.shape) * np.finfo(np.float64).eps
+    lam, V = lam[keep], V[:, keep]
+    if lam.size == 0:  # every anchor equal
+        return np.zeros(xs.shape[1])
+    g = rng.standard_normal((lam.size, _SEARCH_TRIES))
+    proj = np.sort(V @ (np.sqrt(lam)[:, None] * g), axis=0)  # (N, tries)
+    quality = np.diff(proj, axis=0).min(axis=0) / (proj[-1] - proj[0])
+    k = int(np.argmax(quality))
+    return (V @ (g[:, k] / np.sqrt(lam))) @ D
+
+
 def memorize(pairs, seed: int = 0) -> Memorizer:
     """Build a ReLU network with NN(x_i) = y_i exactly (to ~1e-13).
 
-    Construction: project the anchors to a random line (the direction with
-    the best-separated projections over seeded retries), sort, and build one
+    Construction: project the anchors to a random line (of 256 seeded
+    random directions in the span of the centered anchors, the one whose
+    projections are best separated; one eigendecomposition of the N x N
+    Gram lets every try draw at most N - 1 numbers, not n), sort, and build one
     piecewise-linear ReLU interpolant per output coordinate on the shared
     projection trunk; stacking the per-coordinate heads is the
     parallelization step.  The interpolant places its knots a quarter-gap
@@ -244,25 +276,15 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
 
     # the search is also the distinctness check: equal anchors give a zero
     # (or rounding-level) gap on every projection, never above 1e-12 of the span
-    rng = np.random.default_rng(seed)
-    best = None
-    best_quality = 0.0
-    for _ in range(256):
-        w = rng.standard_normal(n)
-        s = xs @ w
-        span = float(s.max() - s.min())
-        if span <= 0:
-            continue
-        quality = float(np.diff(np.sort(s)).min()) / span
-        if quality > best_quality:
-            best_quality, best = quality, (w, s)
-    if best is None or best_quality <= 1e-12:
+    w = _projection_direction(xs, np.random.default_rng(seed))
+    s = xs @ w
+    order = np.argsort(s)
+    s_sorted = s[order]
+    gaps = np.diff(s_sorted)
+    span = s_sorted[-1] - s_sorted[0]
+    if not (span > 0 and gaps.min() / span > 1e-12):
         raise InvalidArgumentError("anchor inputs must be pairwise distinct: some are "
                                    "equal, or too close for a random projection to separate")
-    w, s = best
-    order = np.argsort(s)
-
-    s_sorted = s[order]
     y_sorted = ys[order]
     # xs >= min and beta >= -min, and rounding is monotone, so xs + beta >= 0
     # even in floating point: the first layer's ReLU is the identity on anchors
@@ -271,7 +293,6 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
 
     # per-segment ramps with quarter-gap plateaus around every anchor:
     # hidden unit pair (2i, 2i+1) turns slope m_i on at u_i and off at v_i
-    gaps = s_sorted[1:] - s_sorted[:-1]
     u = s_sorted[:-1] + 0.25 * gaps
     v = s_sorted[1:] - 0.25 * gaps
     slopes = (y_sorted[1:] - y_sorted[:-1]) / (v - u)[:, None]  # (N-1, d)

@@ -266,6 +266,17 @@ class TestCausality:
         with pytest.raises(InvalidArgumentError):
             cno.causality_audit(model, np.zeros((5, 1)), np.zeros((4, 1)), 1)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("step", [1, 4])  # in the shared prefix, in the future
+    def test_non_finite_path_is_a_typed_error(self, model, bad, step):
+        a = RNG(12).random((5, 1))
+        a[step] = bad
+        b = a.copy()
+        b[3:] = 0.5
+        b[step] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            cno.causality_audit(model, a, b, 2)
+
     def test_audit_catches_a_window_that_sees_the_next_step(self, model, monkeypatch):
         """Negative control: if window i also saw step i + 1, the batched
         audit must report it."""
@@ -366,4 +377,16 @@ class TestPredictPaths:
             cno.predict_paths(audit_model, np.zeros((2, 4, 1)))
         with pytest.raises(InvalidArgumentError):
             cno.predict_paths(audit_model, np.zeros((2, 5, 1)), horizon=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_paths_rejected(self, audit_model, bad):
+        paths = np.zeros((2, 5, 1))
+        paths[1, 4] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            cno.predict_paths(audit_model, paths)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            cno.predict(audit_model, paths[1])
+        grid = cno.TimeGrid(np.arange(5, dtype=np.float64))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            cno.windows_from_paths(paths, np.zeros((2, 5)), grid, M=2, step_dim=1)
 

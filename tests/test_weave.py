@@ -119,14 +119,18 @@ class TestMemorize:
 
     def test_far_anchors_with_projections_of_both_signs(self):
         # anchors near -1e8: beta is ~1e8, and the projections p straddle 0,
-        # so gamma must lift them before layer 1's ReLU
+        # so gamma must lift them before layer 1's ReLU.  The sign pattern
+        # is the drawn direction's, so take the first seed that straddles.
         rng = RNG(1)
         xs = -1e8 + 10 * rng.random((6, 3))
         ys = rng.standard_normal((6, 2))
-        m = weave.memorize(list(zip(xs, ys)), seed=0)
-        layers, _ = net.unpack(m.spec, m.theta)
-        (A0, b0, _), (A1, b1, _), _ = layers
-        p = np.maximum(xs + b0, 0.0) @ A0[0]
+        for seed in range(32):
+            m = weave.memorize(list(zip(xs, ys)), seed=seed)
+            layers, _ = net.unpack(m.spec, m.theta)
+            (A0, b0, _), (A1, b1, _), _ = layers
+            p = np.maximum(xs + b0, 0.0) @ A0[0]
+            if p.min() < 0.0 < p.max():
+                break
         assert p.min() < 0.0 < p.max()
         assert np.array_equal(A1, np.ones((10, 1)))
         assert b1[0] == 1.0 - p.min()
@@ -146,6 +150,47 @@ class TestMemorize:
         minus = net.forward(m.spec, m.theta, xs[:, None, :] - steps)
         slopes = (plus - minus) / (2 * h)  # (anchor, direction, output)
         assert np.max(np.abs(slopes)) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["collinear_12_in_r200", "9_anchors_in_r2",
+                                      "far_offset_n400"])
+    def test_edge_anchors_interpolate_flat_from_inside_their_span(self, case):
+        rng = RNG(8)
+        if case == "collinear_12_in_r200":  # centered anchors of rank 1
+            base, step = rng.standard_normal((2, 200))
+            xs = base + rng.permutation(12)[:, None] * step
+        elif case == "9_anchors_in_r2":  # more anchors than dimensions
+            xs = rng.standard_normal((9, 2))
+        else:  # beta ~1e8 at a width far beyond the anchor count
+            xs = -1e8 + 10 * rng.random((6, 400))
+        N, n = xs.shape
+        ys = rng.standard_normal((N, 3))
+        m = weave.memorize(list(zip(xs, ys)), seed=0)
+        assert np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)) <= 1e-9
+        # the plateau: a central difference along every coordinate vanishes
+        h = 1e-6
+        steps = h * np.eye(n)
+        plus = net.forward(m.spec, m.theta, xs[:, None, :] + steps)
+        minus = net.forward(m.spec, m.theta, xs[:, None, :] - steps)
+        assert np.max(np.abs(plus - minus)) / (2 * h) <= 1e-6
+        # the projection direction is a combination of the centered anchors
+        w = net.unpack(m.spec, m.theta)[0][0][0][0]
+        centered = xs - xs.mean(axis=0)
+        coef = np.linalg.lstsq(centered.T, w, rcond=None)[0]
+        assert np.linalg.norm(centered.T @ coef - w) <= 1e-9 * np.linalg.norm(w)
+
+    def test_peak_memory_stays_a_small_multiple_of_theta(self):
+        # a wide weave's shape: a search that drew its 256 directions at full
+        # width n as one block would hold 256 n floats, over 7x theta's 33 n
+        N, n = 16, 20_000
+        rng = RNG(9)
+        pairs = list(zip(rng.standard_normal((N, n)), rng.standard_normal((N, n))))
+        tracemalloc.start()
+        try:
+            m = weave.memorize(pairs, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * m.theta.nbytes
 
 
 class TestBuildWeave:
