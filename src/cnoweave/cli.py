@@ -255,18 +255,13 @@ def cmd_audit(cfg: dict):
     n_pairs = _get(cfg, "n_pairs", int, 100, low=0)
     rng = np.random.default_rng(_get(cfg, "seed", int, 0, low=0))
     horizon = model.horizon
-    # an optional fixed path: every pair then perturbs its steps after i
-    path = _get(cfg, "path", _floats, None)
-    if path is not None and (path.ndim == 0 or len(path) < horizon):
-        raise ConfigError(f"field path is invalid: the model serves {horizon} steps",
-                          field="path")
     passed = 0
     for _ in range(n_pairs):
         i = int(rng.integers(0, horizon - 1)) if horizon > 1 else 0
-        a = rng.random((horizon, model.step_dim)) if path is None else path
+        a = rng.random((horizon, model.step_dim))
         b = np.array(a, copy=True)
-        if i + 1 < len(b):
-            b[i + 1:] = rng.random(b[i + 1:].shape)
+        if i + 1 < horizon:
+            b[i + 1:] = rng.random((horizon - i - 1, model.step_dim))
         if cno.causality_audit(model, a, b, i):
             passed += 1
     result = {"pairs": n_pairs, "passed": passed, "ok": passed == n_pairs}
@@ -369,13 +364,22 @@ def cmd_compare_rnn(cfg: dict):
     return {"tradeoff.csv": report.to_csv(), "tradeoff_summary.json": summary}, None
 
 
+def _fidelity(model: cno.CnoModel) -> dict:
+    """The weave's measured fidelity: the successor gate's statistic, and the
+    decoded filters against the stored codes, both relative to their scale."""
+    w = model.weave_model
+    stored = w.M_T * w.codes[:, : w.P]  # each code's readout
+    recovery = np.max(np.abs(np.stack(model.filters) - stored))
+    return {
+        "successor_residual": float(cno.successor_residuals(w).max(initial=0.0)),
+        "recovery_error": float(recovery) / max(1.0, float(np.max(np.abs(stored)))),
+    }
+
+
 def cmd_inspect(bundle_dir: str) -> dict:
     manifest = serial.verify_bundle(bundle_dir)
     model = serial.load_bundle(bundle_dir)
     w = model.weave_model
-    residuals = cno.successor_residuals(w)
-    stored = w.M_T * w.codes[:, : w.P]  # each code's readout
-    recovery = np.max(np.abs(np.stack(model.filters) - stored))
     return {
         "schema_version": SCHEMA_VERSION,
         "synced_dims": list(model.synced_spec.dims),
@@ -388,10 +392,7 @@ def cmd_inspect(bundle_dir: str) -> dict:
         "packing_min_separation": w.packing.min_separation(),
         "hyper_dims": list(w.hyper_spec.dims),
         "hyper_params": net.param_count(w.hyper_spec),
-        # measured fidelity: the successor gate's statistic, and the decoded
-        # filters against the stored codes, both relative to their scale
-        "successor_residual": float(residuals.max(initial=0.0)),
-        "recovery_error": float(recovery) / max(1.0, float(np.max(np.abs(stored)))),
+        **_fidelity(model),
         "table2": weave.table2_report(w.P, w.Q, w.delta, w.T,
                                       measured_width=_hidden_width(w)),
         "config_hash": manifest["config_hash"],

@@ -364,11 +364,8 @@ def causality_audit(model: CnoModel, x_path_a, x_path_b, i: int) -> bool:
     b = np.asarray(x_path_b, dtype=np.float64)
     if a.shape != b.shape:
         raise InvalidArgumentError("paths must share a shape")
-    if not np.array_equal(a[: i + 1], b[: i + 1]):
-        # a NaN step never equals itself: name it, not a disagreement
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise InvalidArgumentError("paths must be finite")
-        raise InvalidArgumentError("paths must agree on steps <= i")
-    # predict_paths rejects every other non-finite value, such as an inf prefix
+    # predict_paths rejects a non-finite path before the prefixes are compared
     out = predict_paths(model, [a, b], horizon=i + 1)
+    if not np.array_equal(a[: i + 1], b[: i + 1]):
+        raise InvalidArgumentError("paths must agree on steps <= i")
     return bool(np.array_equal(out[0], out[1]))

@@ -118,24 +118,23 @@ class TestMemorize:
         assert m.width == max(m.spec.dims[1:-1]) == 2 * (N - 1)
 
     def test_far_anchors_with_projections_of_both_signs(self):
-        # anchors near -1e8: beta is ~1e8, and the projections p straddle 0,
-        # so gamma must lift them before layer 1's ReLU.  The sign pattern
-        # is the drawn direction's, so take the first seed that straddles.
+        # anchors near -1e8: beta is ~1e8, and where the projections p
+        # straddle 0, gamma must lift them before layer 1's ReLU
         rng = RNG(1)
         xs = -1e8 + 10 * rng.random((6, 3))
         ys = rng.standard_normal((6, 2))
+        straddled = 0
         for seed in range(32):
             m = weave.memorize(list(zip(xs, ys)), seed=seed)
             layers, _ = net.unpack(m.spec, m.theta)
             (A0, b0, _), (A1, b1, _), _ = layers
             p = np.maximum(xs + b0, 0.0) @ A0[0]
-            if p.min() < 0.0 < p.max():
-                break
-        assert p.min() < 0.0 < p.max()
-        assert np.array_equal(A1, np.ones((10, 1)))
-        assert b1[0] == 1.0 - p.min()
-        worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)))
-        assert worst <= 1e-9
+            straddled += p.min() < 0.0 < p.max()
+            assert np.array_equal(A1, np.ones((10, 1)))
+            assert b1[0] == 1.0 + max(0.0, -p.min())
+            worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)))
+            assert worst <= 1e-9
+        assert straddled > 0
 
     def test_zero_slope_at_every_anchor(self):
         # the plateau property: a central difference along every coordinate
