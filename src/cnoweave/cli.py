@@ -377,8 +377,7 @@ def _fidelity(model: cno.CnoModel) -> dict:
 
 
 def cmd_inspect(bundle_dir: str) -> dict:
-    manifest = serial.verify_bundle(bundle_dir)
-    model = serial.load_bundle(bundle_dir)
+    manifest, model = serial.open_bundle(bundle_dir)
     w = model.weave_model
     return {
         "schema_version": SCHEMA_VERSION,

@@ -308,9 +308,12 @@ def successor_residuals(w: weave.WeaveModel) -> np.ndarray:
     scale max(1, max|z|), for t < T - 1: one batched forward, not a rollout."""
     if w.T < 2:
         return np.zeros(0)
-    miss = np.max(np.abs(net.forward(w.hyper_spec, w.hyper_theta, w.codes[:-1])
-                         - w.codes[1:]), axis=1)
-    return miss / max(1.0, float(np.max(np.abs(w.codes))))
+    layers, c = w.hyper_layers
+    # in place: the gate runs on every load, next to the bundle's own arrays
+    miss = net._realize(layers, c, w.codes[:-1])
+    miss -= w.codes[1:]
+    miss = np.abs(miss, out=miss).max(axis=1)
+    return miss / max(1.0, float(w.codes.max()), -float(w.codes.min()))
 
 
 def _check_successors(w: weave.WeaveModel):

@@ -155,10 +155,6 @@ def init_params(spec: NetSpec, seed=0) -> np.ndarray:
     return pack(spec, layers, np.zeros(d[-1]))
 
 
-def _prelu(v, alpha):
-    return np.maximum(v, alpha * v)
-
-
 def forward(spec: NetSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the network; accepts a single vector or a batch (N, d_0)."""
     layers, c = unpack(spec, theta)
@@ -173,10 +169,15 @@ def forward(spec: NetSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _realize(layers, c, h):
     """The layer loop of :func:`forward` on unpacked blocks and a float input
     of the right width; a caller that evaluates one net many times unpacks
-    once and calls this."""
+    once and calls this.  The activation is written out and the product is
+    ``np.dot``: on a small hypernetwork's steps the calls cost more than the
+    arithmetic.  Every array but the input is the loop's own, so the
+    activation and the output bias are applied in place."""
     for A, b, alpha in layers:
-        h = _prelu(h + b, alpha) @ A.T
-    return h + c
+        h = h + b
+        h = np.dot(np.maximum(h, alpha * h, out=h), A.T)
+    h += c
+    return h
 
 
 def _alpha_indices(spec: NetSpec) -> np.ndarray:

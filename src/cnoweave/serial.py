@@ -28,6 +28,7 @@ __all__ = [
     "write_manifest",
     "save_bundle",
     "load_bundle",
+    "open_bundle",
     "verify_bundle",
 ]
 
@@ -225,13 +226,23 @@ def verify_bundle(bundle_dir: str) -> dict:
 
 
 def load_bundle(bundle_dir: str) -> cno.CnoModel:
-    verify_bundle(bundle_dir)
+    """The model of a bundle directory; see :func:`open_bundle`."""
+    return open_bundle(bundle_dir)[1]
+
+
+def open_bundle(bundle_dir: str) -> tuple:
+    """``(manifest, model)`` of a bundle directory, each file hashed once.
+
+    The bundle must pass :func:`verify_bundle`, its ``model.json`` must
+    describe its weave, and the weave must pass the successor gate that
+    construction ran; anything else raises IntegrityError."""
+    manifest = verify_bundle(bundle_dir)
     with open(os.path.join(bundle_dir, MODEL_FILE), "rb") as fh:
         meta = _parse_json(fh.read(), MODEL_FILE)
     wmodel = load_weave(os.path.join(bundle_dir, WEAVE_FILE))
     # a model.json that disagrees with its weave fails CnoModel's own checks
     with _fields_of(MODEL_FILE):
-        return cno.CnoModel(
+        model = cno.CnoModel(
             weave_model=wmodel,
             synced_spec=net.NetSpec(tuple(meta["synced_dims"]), meta["synced_activation"]),
             grid=cno.TimeGrid(np.array(meta["grid_times"])),
@@ -244,3 +255,6 @@ def load_bundle(bundle_dir: str) -> cno.CnoModel:
             delta=meta["delta"],
             seed=meta["seed"],
         )
+    # a weave.bin rewritten and re-hashed must still memorize its codes
+    cno._check_successors(wmodel)
+    return manifest, model

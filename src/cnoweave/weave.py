@@ -8,13 +8,16 @@ memorizes the successor map z_t -> z_{t+1} exactly, and a linear readout
 (scale the first P coordinates by M_T) recovers each theta in turn.
 
 With N = T - 1 >= 2 memorized pairs the hypernetwork has dims
-(P+Q, 1, 2(N-1), P+Q): one projection of the code to a line (a random
+(P+Q, 1, 2(N-1), N-1, P+Q): one projection of the code to a line (a random
 direction in the span of the centered codes, searched through their small
 Gram matrix, so the search never draws a P+Q-wide vector), a scalar shift
 gamma that keeps that projection positive on every code, a fan-out to the
-2(N-1) knot units, and the slope block (see :func:`memorize`).  Weaves saved
-with the earlier (P+Q, 2(N-1), P+Q) layout, whose first layer repeats the
-projection on every hidden row, load and decode unchanged.
+2(N-1) knot units, a pairing layer that turns each pair of knot units into
+one ramp, and the slope block, which holds each segment's slope once (see
+:func:`memorize`).  Weaves saved with the earlier layouts load and decode
+unchanged: (P+Q, 1, 2(N-1), P+Q), whose slope block holds every slope and
+its negative, and (P+Q, 2(N-1), P+Q), whose first layer also repeats the
+projection on every hidden row.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -238,7 +242,7 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     local slope at each anchor is zero, so float-level input noise is damped
     rather than amplified when the network is iterated.
 
-    For N >= 2 anchors the network has dims ``(n, 1, 2(N-1), d)``:
+    For N >= 2 anchors the network has dims ``(n, 1, 2(N-1), N-1, d)``:
 
     - layer 0 is the projection direction w as a 1 x n block; its input
       shift beta moves every anchor into the positive orthant, so its ReLU
@@ -246,14 +250,18 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     - layer 1 is a column of ones with the scalar input shift
       gamma = 1 + max(0, -min_k p_k), taken over the anchors' p as the
       network computes them, so its ReLU passes p + gamma >= 1 unchanged
-      and fans it out to every hidden unit;
-    - layer 2 is the slope block, with knot biases
-      -(u + beta * sum(w) + gamma) and -(v + beta * sum(w) + gamma) that
-      take both shifts back out.
+      and fans it out to every knot unit;
+    - layer 2 is the (N-1) x 2(N-1) pairing block, [1, -1] on each unit
+      pair, with knot biases -(u + beta * sum(w) + gamma) and
+      -(v + beta * sum(w) + gamma) that take both shifts back out; row i
+      forms the ramp r_i = relu(s - u_i) - relu(s - v_i) of the projection s;
+    - layer 3 is the d x (N-1) slope block with a zero input shift: u_i < v_i
+      and rounding is monotone, so r_i >= 0 even in floating point and its
+      ReLU is the identity.
 
-    The projection is one dot product per input, not one per hidden unit.
-    A single anchor gives the constant net ``(n, d)``.  Anchors that are
-    equal, or too close for any searched projection to separate, raise
+    The projection is one dot product per input, not one per hidden unit,
+    and each slope is stored once.  A single anchor gives the constant net
+    ``(n, d)``.  Anchors that are equal, or too close for any searched projection to separate, raise
     InvalidArgumentError.
     """
     xs = np.asarray([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in pairs])
@@ -285,35 +293,42 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     if not (span > 0 and gaps.min() / span > 1e-12):
         raise InvalidArgumentError("anchor inputs must be pairwise distinct: some are "
                                    "equal, or too close for a random projection to separate")
-    y_sorted = ys[order]
     # xs >= min and beta >= -min, and rounding is monotone, so xs + beta >= 0
     # even in floating point: the first layer's ReLU is the identity on anchors
     beta = 1.0 + max(0.0, -float(xs.min()))
     w_offset = beta * float(np.sum(w))
 
-    # per-segment ramps with quarter-gap plateaus around every anchor:
-    # hidden unit pair (2i, 2i+1) turns slope m_i on at u_i and off at v_i
+    # per-segment ramps with quarter-gap plateaus around every anchor: ramp i
+    # runs from u_i to v_i, and segment i's slope is applied along it
     u = s_sorted[:-1] + 0.25 * gaps
     v = s_sorted[1:] - 0.25 * gaps
-    slopes = (y_sorted[1:] - y_sorted[:-1]) / (v - u)[:, None]  # (N-1, d)
-
-    b0 = np.full(n, beta)
-    # the projection as layer 0 computes it; gamma keeps it positive on anchors
-    p = np.maximum(xs + b0, 0.0) @ w
-    gamma = 1.0 + max(0.0, -float(p.min()))
 
     width = 2 * (N - 1)
-    b2 = np.empty(width)
+    spec = net.NetSpec((n, 1, width, N - 1, d), "relu")
+    # every block is written through views into theta, so no model-sized
+    # array but theta is built
+    theta = np.zeros(net.param_count(spec))
+    ((A0, b0, _), (A1, b1, _), (A2, b2, _), (A3, _, _)), c = net._blocks(spec, theta)
+    A0[0] = w
+    b0[:] = beta
+    # the projection as layer 0 computes it; gamma keeps it positive on anchors
+    shifted = xs + b0
+    p = np.maximum(shifted, 0.0, out=shifted) @ w
+    gamma = 1.0 + max(0.0, -float(p.min()))
+    A1[:] = 1.0
+    b1[0] = gamma
+    # knot unit pair (2i, 2i+1) switches on at u_i and v_i; the pairing row i
+    # takes their difference, the ramp r_i, which rises from 0 to v_i - u_i
     b2[0::2] = -(u + w_offset + gamma)
     b2[1::2] = -(v + w_offset + gamma)
-    A2 = np.empty((d, width))
-    A2[:, 0::2] = slopes.T
-    A2[:, 1::2] = -slopes.T
-    c = y_sorted[0]
-
-    spec = net.NetSpec((n, 1, width, d), "relu")
-    theta = net.pack(spec, [(w[None, :], b0, 0.0), (np.ones((width, 1)), [gamma], 0.0),
-                            (A2, b2, 0.0)], c)
+    ramps = np.arange(N - 1)
+    A2[ramps, 2 * ramps] = 1.0
+    A2[ramps, 2 * ramps + 1] = -1.0
+    # slope column i: segment i's rise over its ramp's length
+    for i in range(N - 1):
+        np.subtract(ys[order[i + 1]], ys[order[i]], out=A3[:, i])
+        A3[:, i] /= v[i] - u[i]
+    c[:] = ys[order[0]]
     return Memorizer(spec, theta, width=width, width_bound=width_bound,
                      within_bound=width <= width_bound)
 
@@ -345,6 +360,12 @@ class WeaveModel:
     @property
     def T(self):
         return len(self.codes)
+
+    @cached_property
+    def hyper_layers(self) -> tuple:
+        """The hypernetwork's ``([(A_j, b_j, alpha_j)], c)`` views, unpacked on
+        first use; the rollout and the successor gate share them."""
+        return net.unpack(self.hyper_spec, self.hyper_theta)
 
     @property
     def z0(self):
@@ -398,12 +419,13 @@ def rollout(w: WeaveModel, steps: int):
     """theta-hat sequence: read out, advance the latent code, repeat."""
     if steps < 1 or steps > w.T:
         raise InvalidArgumentError(f"steps must be in [1, {w.T}], got {steps}")
-    # unpacked once: each step is net.forward's layer loop and nothing else
-    layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
+    # each step is net.forward's layer loop and the readout, nothing else
+    layers, c = w.hyper_layers
+    M_T, P = w.M_T, w.P
     out = []
-    z = np.array(w.z0, copy=True)
+    z = w.z0
     for i in range(steps):
-        out.append(w.readout(z))
+        out.append(M_T * z[:P])
         if i < steps - 1:
             z = net._realize(layers, c, z)
     return out

@@ -337,8 +337,8 @@ class TestPipeline:
         assert summary["Q"] == 4
         # P + Q = 53 + 4 code coordinates; 3 codes: 2 memorized pairs, 2 knot units
         assert summary["P"] == 53
-        assert summary["hyper_dims"] == [57, 1, 2, 57]
-        assert summary["hyper_params"] == net.param_count(net.NetSpec((57, 1, 2, 57)))
+        assert summary["hyper_dims"] == [57, 1, 2, 1, 57]
+        assert summary["hyper_params"] == net.param_count(net.NetSpec((57, 1, 2, 1, 57)))
         # measured weave fidelity: within the successor gate and the recovery contract
         assert 0.0 <= summary["successor_residual"] <= 1e-9
         assert 0.0 <= summary["recovery_error"] <= 1e-6
@@ -349,6 +349,19 @@ class TestPipeline:
         assert summary["recovery_error"] == max(
             float(np.max(np.abs(theta - code))) for theta, code in zip(model.filters, stored)
         ) / max(1.0, float(np.max(np.abs(stored))))
+
+    def test_inspect_hashes_each_file_once(self, bundle, capsys, monkeypatch):
+        _, out = bundle
+        hashed = []
+        real = serial.sha256_file
+
+        def counted(path):
+            hashed.append(os.path.basename(path))
+            return real(path)
+
+        monkeypatch.setattr(serial, "sha256_file", counted)
+        assert run(["inspect", str(out / "bundle")]) == 0
+        assert sorted(hashed) == sorted(serial.BUNDLE_FILES)
 
     def test_inspect_measures_a_weave_that_drifted(self, bundle):
         # every hypernetwork weight moved by 1e-6: the decoded filters drift,
@@ -393,6 +406,27 @@ def test_model_json_that_disagrees_with_its_weave_is_5(bundle, tmp_path, capsys,
     assert run(["inspect", str(tampered)]) == 5
     err = capsys.readouterr().err
     assert err.count("integrity failure") == 2 and "config error" not in err
+
+
+def test_drifted_weave_is_5(bundle, tmp_path, capsys):
+    # every hypernetwork weight moved by 1e-6 and the manifest rehashed: the
+    # load gate stops predict, audit and inspect before they decode a filter
+    _, out = bundle
+    drifted = tmp_path / "bundle"
+    shutil.copytree(out / "bundle", drifted)
+    w = serial.load_weave(str(drifted / "weave.bin"))
+    serial.save_weave(str(drifted / "weave.bin"),
+                      dataclasses.replace(w, hyper_theta=w.hyper_theta + 1e-6))
+    serial.write_manifest(str(drifted), {}, serial.BUNDLE_FILES, {})
+    predict = write_cfg(tmp_path, "p.yaml", {"bundle": str(drifted),
+                                             "path": [[0.5], [0.25], [0.75]],
+                                             "out_dir": str(tmp_path / "o")})
+    audit = write_cfg(tmp_path, "a.yaml", {"bundle": str(drifted), "n_pairs": 2,
+                                           "out_dir": str(tmp_path / "o")})
+    assert run(["predict", predict]) == 5
+    assert run(["audit", audit]) == 5
+    assert run(["inspect", str(drifted)]) == 5
+    assert capsys.readouterr().err.count("integrity failure: the weave misses window") == 3
 
 
 class TestWeaveTest:

@@ -27,16 +27,51 @@ def small_model(seed=0):
     return model
 
 
+def width1_layout(w):
+    """``w`` with its hypernetwork in the (n, 1, 2(N-1), d) layout: no
+    pairing layer, so the slope block S is stored as S . Pair, every slope
+    next to its negative."""
+    layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
+    (A0, b0, _), (A1, b1, _), (A2, b2, _), (A3, _, _) = layers
+    spec = net.NetSpec((A0.shape[1], 1, A2.shape[1], A3.shape[0]), "relu")
+    theta = net.pack(spec, [(A0, b0, 0.0), (A1, b1, 0.0), (A3 @ A2, b2, 0.0)], c)
+    return dataclasses.replace(w, hyper_spec=spec, hyper_theta=theta)
+
+
 def tiled_layout(w):
     """``w`` with its hypernetwork in the (n, 2(N-1), d) layout: the
     projection direction tiled over the hidden rows, gamma folded into the
-    hidden biases."""
+    hidden biases, and the slope block stored as S . Pair."""
     layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
-    (A0, b0, _), (A1, (gamma,), _), (A2, b2, _) = layers
-    spec = net.NetSpec((A0.shape[1], A2.shape[1], A2.shape[0]), "relu")
+    (A0, b0, _), (A1, (gamma,), _), (A2, b2, _), (A3, _, _) = layers
+    spec = net.NetSpec((A0.shape[1], A2.shape[1], A3.shape[0]), "relu")
     theta = net.pack(spec, [(np.tile(A0, (A1.shape[0], 1)), b0, 0.0),
-                            (A2, b2 + gamma, 0.0)], c)
+                            (A3 @ A2, b2 + gamma, 0.0)], c)
     return dataclasses.replace(w, hyper_spec=spec, hyper_theta=theta)
+
+
+def bundle_of(w, out):
+    """Save a bundle whose model is the weave ``w`` of (3, 4, 1) filters."""
+    spec = net.NetSpec((3, 4, 1), "prelu")
+    model = cno.CnoModel(
+        weave_model=w, synced_spec=spec, grid=cno.TimeGrid(np.arange(w.T, dtype=np.float64)),
+        M=3, step_dim=1, out_dim=1, out_spaces=[], reports=[], Q=w.Q, delta=w.delta,
+        seed=w.seed)
+    serial.save_bundle(str(out), model)
+    return out
+
+
+def check_old_layout(layout, dims, out):
+    """A weave saved in an earlier ``layout`` loads in a bundle, passes the
+    load gate, and decodes its filters to 1e-6."""
+    th = RNG(5).standard_normal((12, 26))  # (3, 4, 1) filters hold 26 parameters
+    w = weave.build_weave(th, Q=4, delta=0.5, seed=0)
+    loaded = serial.load_bundle(str(bundle_of(layout(w), out))).weave_model
+    # T codes, so T - 1 memorized pairs and 2(T - 2) knot units
+    assert loaded.hyper_spec.dims == dims(w.P + w.Q, 2 * (w.T - 2))
+    scale = max(1.0, float(np.abs(th).max()))
+    for t, theta in enumerate(weave.rollout(loaded, w.T)):
+        assert np.max(np.abs(theta - th[t])) / scale <= 1e-6
 
 
 class TestNetFormat:
@@ -86,18 +121,14 @@ class TestWeaveFormat:
     def test_tiled_layout_loads_and_decodes(self, tmp_path):
         # weaves saved before the width-1 projection layer repeat w on every
         # hidden row and keep gamma in the hidden biases
-        th = RNG(5).standard_normal((12, 30))
-        w = weave.build_weave(th, Q=4, delta=0.5, seed=0)
-        p = tmp_path / "w.bin"
-        serial.save_weave(str(p), tiled_layout(w))
-        loaded = serial.load_weave(str(p))
-        # T codes, so T - 1 memorized pairs and 2(T - 2) knot units
-        assert loaded.hyper_spec.dims == (w.P + w.Q, 2 * (w.T - 2), w.P + w.Q)
-        scale = max(1.0, float(np.abs(th).max()))
-        for t, theta in enumerate(weave.rollout(loaded, w.T)):
-            assert np.max(np.abs(theta - th[t])) / scale <= 1e-6
+        check_old_layout(tiled_layout, lambda n, knots: (n, knots, n), tmp_path / "b")
 
-    @pytest.mark.parametrize("layout", [lambda w: w, tiled_layout], ids=["width1", "tiled"])
+    def test_width1_layout_loads_and_decodes(self, tmp_path):
+        # weaves saved before the pairing layer store every slope twice
+        check_old_layout(width1_layout, lambda n, knots: (n, 1, knots, n), tmp_path / "b")
+
+    @pytest.mark.parametrize("layout", [lambda w: w, width1_layout, tiled_layout],
+                             ids=["paired", "width1", "tiled"])
     def test_rollout_is_chained_forward(self, layout):
         w = layout(weave.build_weave(RNG(6).standard_normal((7, 11)), Q=4, delta=0.5, seed=0))
         z = w.z0
@@ -169,6 +200,19 @@ class TestBundle:
             serial.write_manifest(str(out), {}, files, {})
             with pytest.raises(IntegrityError, match="must list exactly"):
                 serial.verify_bundle(str(out))
+
+    def test_drifted_weave_fails_the_load_gate(self, tmp_path):
+        # every hypernetwork weight moved by 1e-6 and the manifest re-hashed:
+        # only the successor gate can tell
+        out = tmp_path / "bundle"
+        model = small_model()
+        serial.save_bundle(str(out), model)
+        w = model.weave_model
+        serial.save_weave(str(out / "weave.bin"),
+                          dataclasses.replace(w, hyper_theta=w.hyper_theta + 1e-6))
+        rehash(out)
+        with pytest.raises(IntegrityError, match="the weave misses window"):
+            serial.load_bundle(str(out))
 
     def test_param_count_disagreement_detected(self, tmp_path):
         out = tmp_path / "bundle"

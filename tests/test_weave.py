@@ -114,12 +114,39 @@ class TestMemorize:
         rng = RNG(N)
         pairs = [(rng.standard_normal(4), rng.standard_normal(3)) for _ in range(N)]
         m = weave.memorize(pairs, seed=0)
-        assert m.spec.dims == (4, 1, 2 * (N - 1), 3)
+        assert m.spec.dims == (4, 1, 2 * (N - 1), N - 1, 3)
         assert m.width == max(m.spec.dims[1:-1]) == 2 * (N - 1)
+
+    @pytest.mark.parametrize("N, n, d", [(2, 4, 3), (9, 5, 2), (31, 40, 40)])
+    def test_param_count_closed_form(self, N, n, d):
+        # (n, 1, 2K, K, d) with K = N - 1 holds 2n + 2K^2 + K(d + 5) + d + 5
+        # numbers; at the wide weave's 31 anchors of width 18,459 that is
+        # 611,102, where the (n, 1, 2K, d) layout held 2n + 2K(d + 2) + d + 4,
+        # or 1,163,041
+        rng = RNG(N)
+        m = weave.memorize(list(zip(rng.standard_normal((N, n)),
+                                    rng.standard_normal((N, d)))), seed=0)
+        K = N - 1
+        assert m.theta.size == 2 * n + 2 * K * K + K * (d + 5) + d + 5
+
+    def test_each_slope_stored_once(self):
+        rng = RNG(12)
+        N, d = 12, 5
+        m = weave.memorize(list(zip(rng.standard_normal((N, 6)),
+                                    rng.standard_normal((N, d)))), seed=0)
+        layers, _ = net.unpack(m.spec, m.theta)
+        (_, _, A2, A3) = (A for A, _, _ in layers)
+        assert np.array_equal(A2, np.kron(np.eye(N - 1), [1.0, -1.0]))  # the pairing block
+        assert A3.shape == (d, N - 1)
+        # no slope column is the negative of another
+        for i in range(N - 1):
+            for j in range(N - 1):
+                assert not np.array_equal(A3[:, i], -A3[:, j])
 
     def test_far_anchors_with_projections_of_both_signs(self):
         # anchors near -1e8: beta is ~1e8, and where the projections p
-        # straddle 0, gamma must lift them before layer 1's ReLU
+        # straddle 0, gamma must lift them before layer 1's ReLU; the paired
+        # ramps stay >= 0, so layer 3's ReLU with no input shift passes them
         rng = RNG(1)
         xs = -1e8 + 10 * rng.random((6, 3))
         ys = rng.standard_normal((6, 2))
@@ -127,11 +154,15 @@ class TestMemorize:
         for seed in range(32):
             m = weave.memorize(list(zip(xs, ys)), seed=seed)
             layers, _ = net.unpack(m.spec, m.theta)
-            (A0, b0, _), (A1, b1, _), _ = layers
+            (A0, b0, _), (A1, b1, _), (A2, b2, _), (_, b3, _) = layers
             p = np.maximum(xs + b0, 0.0) @ A0[0]
             straddled += p.min() < 0.0 < p.max()
             assert np.array_equal(A1, np.ones((10, 1)))
             assert b1[0] == 1.0 + max(0.0, -p.min())
+            knots = np.maximum(p[:, None] + b1 + b2, 0.0)
+            ramps = knots @ A2.T
+            assert np.all(ramps >= 0.0)
+            assert np.array_equal(b3, np.zeros(5))
             worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)))
             assert worst <= 1e-9
         assert straddled > 0
