@@ -371,7 +371,7 @@ def _fidelity(model: cno.CnoModel) -> dict:
     stored = w.M_T * w.codes[:, : w.P]  # each code's readout
     recovery = np.max(np.abs(np.stack(model.filters) - stored))
     return {
-        "successor_residual": float(cno.successor_residuals(w).max(initial=0.0)),
+        "successor_residual": float(w.successor_residuals.max(initial=0.0)),
         "recovery_error": float(recovery) / max(1.0, float(np.max(np.abs(stored)))),
     }
 

@@ -33,7 +33,6 @@ __all__ = [
     "predict",
     "predict_paths",
     "causality_audit",
-    "successor_residuals",
 ]
 
 @dataclass(frozen=True)
@@ -303,23 +302,10 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     return model, reports
 
 
-def successor_residuals(w: weave.WeaveModel) -> np.ndarray:
-    """Each code's one-step miss max|NN(z_t) - z_{t+1}| over the codes'
-    scale max(1, max|z|), for t < T - 1: one batched forward, not a rollout."""
-    if w.T < 2:
-        return np.zeros(0)
-    layers, c = w.hyper_layers
-    # in place: the gate runs on every load, next to the bundle's own arrays
-    miss = net._realize(layers, c, w.codes[:-1])
-    miss -= w.codes[1:]
-    miss = np.abs(miss, out=miss).max(axis=1)
-    return miss / max(1.0, float(w.codes.max()), -float(w.codes.min()))
-
-
 def _check_successors(w: weave.WeaveModel):
     """Raise IntegrityError unless the hypernetwork maps every latent code to
     the next one within 1e-9 of the codes' scale."""
-    residuals = successor_residuals(w)
+    residuals = w.successor_residuals
     bad = np.flatnonzero(~(residuals <= 1e-9))  # a NaN miss is a miss
     if bad.size:
         t = int(bad[0])

@@ -8,16 +8,16 @@ memorizes the successor map z_t -> z_{t+1} exactly, and a linear readout
 (scale the first P coordinates by M_T) recovers each theta in turn.
 
 With N = T - 1 >= 2 memorized pairs the hypernetwork has dims
-(P+Q, 1, 2(N-1), N-1, P+Q): one projection of the code to a line (a random
-direction in the span of the centered codes, searched through their small
-Gram matrix, so the search never draws a P+Q-wide vector), a scalar shift
-gamma that keeps that projection positive on every code, a fan-out to the
-2(N-1) knot units, a pairing layer that turns each pair of knot units into
-one ramp, and the slope block, which holds each segment's slope once (see
-:func:`memorize`).  Weaves saved with the earlier layouts load and decode
-unchanged: (P+Q, 1, 2(N-1), P+Q), whose slope block holds every slope and
-its negative, and (P+Q, 2(N-1), P+Q), whose first layer also repeats the
-projection on every hidden row.
+(P+Q, 1, 2(N-1), N-1, P+Q) for wide codes and (P+Q, 1, 2(N-1), P+Q)
+otherwise: one projection of the code to a line (a random direction in the
+span of the centered codes, searched through their small Gram matrix, so the
+search never draws a P+Q-wide vector), a scalar shift gamma that keeps that
+projection positive on every code, a fan-out to the 2(N-1) knot units, and
+the slope block, which holds each segment's slope once behind a pairing
+layer that turns each pair of knot units into one ramp, or each slope and
+its negative with none, whichever layout is smaller (see :func:`memorize`).
+Weaves saved with the earlier tiled layout (P+Q, 2(N-1), P+Q), whose first
+layer repeats the projection on every hidden row, load and decode unchanged.
 """
 
 from __future__ import annotations
@@ -242,7 +242,8 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     local slope at each anchor is zero, so float-level input noise is damped
     rather than amplified when the network is iterated.
 
-    For N >= 2 anchors the network has dims ``(n, 1, 2(N-1), N-1, d)``:
+    For N >= 2 anchors and K = N - 1 the network has dims
+    ``(n, 1, 2K, K, d)`` (paired) or ``(n, 1, 2K, d)`` (signed):
 
     - layer 0 is the projection direction w as a 1 x n block; its input
       shift beta moves every anchor into the positive orthant, so its ReLU
@@ -250,18 +251,25 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     - layer 1 is a column of ones with the scalar input shift
       gamma = 1 + max(0, -min_k p_k), taken over the anchors' p as the
       network computes them, so its ReLU passes p + gamma >= 1 unchanged
-      and fans it out to every knot unit;
-    - layer 2 is the (N-1) x 2(N-1) pairing block, [1, -1] on each unit
-      pair, with knot biases -(u + beta * sum(w) + gamma) and
-      -(v + beta * sum(w) + gamma) that take both shifts back out; row i
-      forms the ramp r_i = relu(s - u_i) - relu(s - v_i) of the projection s;
-    - layer 3 is the d x (N-1) slope block with a zero input shift: u_i < v_i
+      and fans it out to the 2K knot units;
+    - layer 2 has the knot biases -(u + beta * sum(w) + gamma) and
+      -(v + beta * sum(w) + gamma), which take both shifts back out, so knot
+      unit pair i computes relu(s - u_i) and relu(s - v_i) of the
+      projection s.  Paired, it is the K x 2K pairing block, [1, -1] on each
+      unit pair, whose row i forms the ramp r_i = relu(s - u_i) - relu(s - v_i),
+      and layer 3 is the d x K slope block with a zero input shift: u_i < v_i
       and rounding is monotone, so r_i >= 0 even in floating point and its
-      ReLU is the identity.
+      ReLU is the identity.  Signed, layer 2 is the d x 2K slope block itself,
+      each slope next to its negative.
 
-    The projection is one dot product per input, not one per hidden unit,
-    and each slope is stored once.  A single anchor gives the constant net
-    ``(n, d)``.  Anchors that are equal, or too close for any searched projection to separate, raise
+    Paired holds 2n + 2K^2 + K(d + 5) + d + 5 numbers and signed
+    2n + 2K(d + 2) + d + 4, so the pairing block pays only when
+    d > 2K + 1 + 1/K; memorize emits the smaller, and its rollout work
+    scales with its size.  The function is the same either way.
+
+    The projection is one dot product per input, not one per hidden unit.
+    A single anchor gives the constant net ``(n, d)``.  Anchors that are
+    equal, or too close for any searched projection to separate, raise
     InvalidArgumentError.
     """
     xs = np.asarray([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in pairs])
@@ -303,12 +311,19 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     u = s_sorted[:-1] + 0.25 * gaps
     v = s_sorted[1:] - 0.25 * gaps
 
-    width = 2 * (N - 1)
-    spec = net.NetSpec((n, 1, width, N - 1, d), "relu")
+    # each slope once behind a pairing layer, or next to its negative with
+    # none: the pairing block is (N-1) x 2(N-1), so it pays only for wide
+    # targets, d > 2(N-1) + 1 + 1/(N-1); the smaller layout is kept
+    K = N - 1
+    width = 2 * K
+    paired = net.NetSpec((n, 1, width, K, d), "relu")
+    signed = net.NetSpec((n, 1, width, d), "relu")
+    spec = paired if net.param_count(paired) < net.param_count(signed) else signed
     # every block is written through views into theta, so no model-sized
     # array but theta is built
     theta = np.zeros(net.param_count(spec))
-    ((A0, b0, _), (A1, b1, _), (A2, b2, _), (A3, _, _)), c = net._blocks(spec, theta)
+    layers, c = net._blocks(spec, theta)
+    (A0, b0, _), (A1, b1, _), (A2, b2, _) = layers[:3]
     A0[0] = w
     b0[:] = beta
     # the projection as layer 0 computes it; gamma keeps it positive on anchors
@@ -317,17 +332,23 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     gamma = 1.0 + max(0.0, -float(p.min()))
     A1[:] = 1.0
     b1[0] = gamma
-    # knot unit pair (2i, 2i+1) switches on at u_i and v_i; the pairing row i
-    # takes their difference, the ramp r_i, which rises from 0 to v_i - u_i
+    # knot unit pair (2i, 2i+1) switches on at u_i and v_i; their difference
+    # is the ramp r_i, which rises from 0 to v_i - u_i
     b2[0::2] = -(u + w_offset + gamma)
     b2[1::2] = -(v + w_offset + gamma)
-    ramps = np.arange(N - 1)
-    A2[ramps, 2 * ramps] = 1.0
-    A2[ramps, 2 * ramps + 1] = -1.0
-    # slope column i: segment i's rise over its ramp's length
-    for i in range(N - 1):
-        np.subtract(ys[order[i + 1]], ys[order[i]], out=A3[:, i])
-        A3[:, i] /= v[i] - u[i]
+    if spec is paired:
+        ramps = np.arange(K)
+        A2[ramps, 2 * ramps] = 1.0
+        A2[ramps, 2 * ramps + 1] = -1.0
+        slopes = layers[3][0]  # column i applies along ramp i
+    else:
+        slopes = A2[:, 0::2]  # column 2i switches slope i on, 2i + 1 off
+    # slope i: segment i's rise over its ramp's length
+    for i in range(K):
+        np.subtract(ys[order[i + 1]], ys[order[i]], out=slopes[:, i])
+        slopes[:, i] /= v[i] - u[i]
+    if spec is signed:
+        np.negative(slopes, out=A2[:, 1::2])
     c[:] = ys[order[0]]
     return Memorizer(spec, theta, width=width, width_bound=width_bound,
                      within_bound=width <= width_bound)
@@ -366,6 +387,23 @@ class WeaveModel:
         """The hypernetwork's ``([(A_j, b_j, alpha_j)], c)`` views, unpacked on
         first use; the rollout and the successor gate share them."""
         return net.unpack(self.hyper_spec, self.hyper_theta)
+
+    @cached_property
+    def successor_residuals(self) -> np.ndarray:
+        """Each code's one-step miss max|NN(z_t) - z_{t+1}| over the codes'
+        scale max(1, max|z|), for t < T - 1: one batched forward, not a
+        rollout, computed on first use and then read by the successor gate
+        and ``inspect`` alike."""
+        if self.T < 2:
+            return np.zeros(0)
+        layers, c = self.hyper_layers
+        # in place: the gate runs on every load, next to the bundle's own arrays
+        miss = net._realize(layers, c, self.codes[:-1])
+        miss -= self.codes[1:]
+        miss = np.abs(miss, out=miss).max(axis=1)
+        miss /= max(1.0, float(self.codes.max()), -float(self.codes.min()))
+        miss.flags.writeable = False
+        return miss
 
     @property
     def z0(self):

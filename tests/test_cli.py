@@ -344,7 +344,7 @@ class TestPipeline:
         assert 0.0 <= summary["recovery_error"] <= 1e-6
         model = serial.load_bundle(str(out / "bundle"))
         w = model.weave_model
-        assert summary["successor_residual"] == float(cno.successor_residuals(w).max())
+        assert summary["successor_residual"] == float(w.successor_residuals.max())
         stored = w.M_T * w.codes[:, : w.P]
         assert summary["recovery_error"] == max(
             float(np.max(np.abs(theta - code))) for theta, code in zip(model.filters, stored)
@@ -362,6 +362,22 @@ class TestPipeline:
         monkeypatch.setattr(serial, "sha256_file", counted)
         assert run(["inspect", str(out / "bundle")]) == 0
         assert sorted(hashed) == sorted(serial.BUNDLE_FILES)
+
+    def test_inspect_runs_the_successor_forward_once(self, bundle, capsys, monkeypatch):
+        # the load gate's batched forward over the codes is the one inspect
+        # reports; the rollout's steps are single codes
+        _, out = bundle
+        batched = []
+        real = net._realize
+
+        def counted(layers, c, h):
+            if h.ndim == 2:
+                batched.append(h.shape)
+            return real(layers, c, h)
+
+        monkeypatch.setattr(net, "_realize", counted)
+        assert run(["inspect", str(out / "bundle")]) == 0
+        assert batched == [(2, 57)]
 
     def test_inspect_measures_a_weave_that_drifted(self, bundle):
         # every hypernetwork weight moved by 1e-6: the decoded filters drift,

@@ -28,9 +28,11 @@ def small_model(seed=0):
 
 
 def width1_layout(w):
-    """``w`` with its hypernetwork in the (n, 1, 2(N-1), d) layout: no
-    pairing layer, so the slope block S is stored as S . Pair, every slope
-    next to its negative."""
+    """The paired weave ``w`` with its hypernetwork in the signed
+    (n, 1, 2(N-1), d) layout: no pairing layer, so the slope block S is
+    stored as S . Pair, every slope next to its negative.  memorize emits it
+    for narrow codes, and emitted it for every code before the pairing
+    layer."""
     layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
     (A0, b0, _), (A1, b1, _), (A2, b2, _), (A3, _, _) = layers
     spec = net.NetSpec((A0.shape[1], 1, A2.shape[1], A3.shape[0]), "relu")
@@ -39,9 +41,9 @@ def width1_layout(w):
 
 
 def tiled_layout(w):
-    """``w`` with its hypernetwork in the (n, 2(N-1), d) layout: the
-    projection direction tiled over the hidden rows, gamma folded into the
-    hidden biases, and the slope block stored as S . Pair."""
+    """The paired weave ``w`` with its hypernetwork in the (n, 2(N-1), d)
+    layout: the projection direction tiled over the hidden rows, gamma
+    folded into the hidden biases, and the slope block stored as S . Pair."""
     layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
     (A0, b0, _), (A1, (gamma,), _), (A2, b2, _), (A3, _, _) = layers
     spec = net.NetSpec((A0.shape[1], A2.shape[1], A3.shape[0]), "relu")
@@ -64,7 +66,9 @@ def bundle_of(w, out):
 def check_old_layout(layout, dims, out):
     """A weave saved in an earlier ``layout`` loads in a bundle, passes the
     load gate, and decodes its filters to 1e-6."""
-    th = RNG(5).standard_normal((12, 26))  # (3, 4, 1) filters hold 26 parameters
+    # (3, 4, 1) filters hold 26 parameters; 30-wide codes over 11 memorized
+    # pairs are wide enough for memorize's paired layout
+    th = RNG(5).standard_normal((12, 26))
     w = weave.build_weave(th, Q=4, delta=0.5, seed=0)
     loaded = serial.load_bundle(str(bundle_of(layout(w), out))).weave_model
     # T codes, so T - 1 memorized pairs and 2(T - 2) knot units

@@ -111,60 +111,96 @@ class TestMemorize:
 
     @pytest.mark.parametrize("N", [2, 3, 9])
     def test_width_one_projection_layout(self, N):
+        # narrow targets keep each slope next to its negative; targets wider
+        # than 2K + 1 + 1/K get the K x 2K pairing layer
+        K = N - 1
         rng = RNG(N)
-        pairs = [(rng.standard_normal(4), rng.standard_normal(3)) for _ in range(N)]
-        m = weave.memorize(pairs, seed=0)
-        assert m.spec.dims == (4, 1, 2 * (N - 1), N - 1, 3)
-        assert m.width == max(m.spec.dims[1:-1]) == 2 * (N - 1)
+        for d, dims in [(3, (4, 1, 2 * K, 3)), (2 * K + 3, (4, 1, 2 * K, K, 2 * K + 3))]:
+            pairs = [(rng.standard_normal(4), rng.standard_normal(d)) for _ in range(N)]
+            m = weave.memorize(pairs, seed=0)
+            assert m.spec.dims == dims
+            assert m.width == max(m.spec.dims[1:-1]) == 2 * K
 
-    @pytest.mark.parametrize("N, n, d", [(2, 4, 3), (9, 5, 2), (31, 40, 40)])
+    @pytest.mark.parametrize("N, n, d", [(2, 4, 3), (2, 4, 5), (9, 5, 2), (9, 5, 18),
+                                         (9, 5, 19), (31, 40, 40), (31, 40, 62),
+                                         (31, 40, 80)])
     def test_param_count_closed_form(self, N, n, d):
-        # (n, 1, 2K, K, d) with K = N - 1 holds 2n + 2K^2 + K(d + 5) + d + 5
-        # numbers; at the wide weave's 31 anchors of width 18,459 that is
-        # 611,102, where the (n, 1, 2K, d) layout held 2n + 2K(d + 2) + d + 4,
-        # or 1,163,041
+        # with K = N - 1, (n, 1, 2K, K, d) holds 2n + 2K^2 + K(d + 5) + d + 5
+        # numbers and (n, 1, 2K, d) holds 2n + 2K(d + 2) + d + 4; memorize
+        # emits the smaller, the signed one on a tie.  At the wide weave's 31
+        # anchors of width 18,459 that is 611,102 against 1,163,041
         rng = RNG(N)
         m = weave.memorize(list(zip(rng.standard_normal((N, n)),
                                     rng.standard_normal((N, d)))), seed=0)
         K = N - 1
-        assert m.theta.size == 2 * n + 2 * K * K + K * (d + 5) + d + 5
+        paired = 2 * n + 2 * K * K + K * (d + 5) + d + 5
+        signed = 2 * n + 2 * K * (d + 2) + d + 4
+        assert m.theta.size == min(paired, signed)
+        assert m.spec.depth == (4 if paired < signed else 3)
+        assert (paired < signed) == (d > 2 * K + 1 + 1 / K)
 
-    def test_each_slope_stored_once(self):
+    def test_table2_shape_is_no_larger_than_signed(self):
+        # a Table-2 shape, P = 17 and Q = 4 over T = 16 codes: 15 anchors of
+        # width 21 keep the signed layout's 711 parameters, where the
+        # pairing block would make 824
+        w = weave.build_weave(RNG(17).standard_normal((16, 17)), Q=4, delta=0.5, seed=0)
+        assert w.hyper_spec.dims == (21, 1, 28, 21)
+        assert w.hyper_theta.size == 711
+        for t, theta in enumerate(weave.rollout(w, w.T)):
+            assert np.max(np.abs(theta - w.M_T * w.codes[t, :17])) <= 1e-9
+
+    @pytest.mark.parametrize("d", [5, 30])
+    def test_each_slope_stored_once(self, d):
+        # paired (d = 30): a pairing block and one column per slope; signed
+        # (d = 5): slope column 2i + 1 is exactly the negative of column 2i,
+        # the smaller layout at these widths
         rng = RNG(12)
-        N, d = 12, 5
+        N = 12
         m = weave.memorize(list(zip(rng.standard_normal((N, 6)),
                                     rng.standard_normal((N, d)))), seed=0)
         layers, _ = net.unpack(m.spec, m.theta)
-        (_, _, A2, A3) = (A for A, _, _ in layers)
-        assert np.array_equal(A2, np.kron(np.eye(N - 1), [1.0, -1.0]))  # the pairing block
-        assert A3.shape == (d, N - 1)
+        blocks = [A for A, _, _ in layers]
+        if d == 5:
+            S = blocks[2]
+            assert S.shape == (d, 2 * (N - 1))
+            assert np.array_equal(S[:, 1::2], -S[:, 0::2])
+            S = S[:, 0::2]
+        else:
+            A2, S = blocks[2:]
+            assert np.array_equal(A2, np.kron(np.eye(N - 1), [1.0, -1.0]))  # the pairing block
+            assert S.shape == (d, N - 1)
         # no slope column is the negative of another
         for i in range(N - 1):
             for j in range(N - 1):
-                assert not np.array_equal(A3[:, i], -A3[:, j])
+                assert not np.array_equal(S[:, i], -S[:, j])
 
     def test_far_anchors_with_projections_of_both_signs(self):
         # anchors near -1e8: beta is ~1e8, and where the projections p
-        # straddle 0, gamma must lift them before layer 1's ReLU; the paired
+        # straddle 0, gamma must lift them before layer 1's ReLU; 2-wide
+        # targets get the signed layout, 12-wide ones the paired one, whose
         # ramps stay >= 0, so layer 3's ReLU with no input shift passes them
         rng = RNG(1)
         xs = -1e8 + 10 * rng.random((6, 3))
         ys = rng.standard_normal((6, 2))
+        wide = rng.standard_normal((6, 12))
         straddled = 0
         for seed in range(32):
-            m = weave.memorize(list(zip(xs, ys)), seed=seed)
-            layers, _ = net.unpack(m.spec, m.theta)
-            (A0, b0, _), (A1, b1, _), (A2, b2, _), (_, b3, _) = layers
-            p = np.maximum(xs + b0, 0.0) @ A0[0]
+            for targets, depth in [(ys, 3), (wide, 4)]:
+                m = weave.memorize(list(zip(xs, targets)), seed=seed)
+                layers, _ = net.unpack(m.spec, m.theta)
+                assert m.spec.depth == depth
+                (A0, b0, _), (A1, b1, _), (A2, b2, _) = layers[:3]
+                p = np.maximum(xs + b0, 0.0) @ A0[0]
+                assert np.array_equal(A1, np.ones((10, 1)))
+                assert b1[0] == 1.0 + max(0.0, -p.min())
+                if depth == 4:
+                    knots = np.maximum(p[:, None] + b1 + b2, 0.0)
+                    ramps = knots @ A2.T
+                    assert np.all(ramps >= 0.0)
+                    assert np.array_equal(layers[3][1], np.zeros(5))
+                worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - targets)))
+                assert worst <= 1e-9
             straddled += p.min() < 0.0 < p.max()
-            assert np.array_equal(A1, np.ones((10, 1)))
-            assert b1[0] == 1.0 + max(0.0, -p.min())
-            knots = np.maximum(p[:, None] + b1 + b2, 0.0)
-            ramps = knots @ A2.T
-            assert np.all(ramps >= 0.0)
-            assert np.array_equal(b3, np.zeros(5))
-            worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)))
-            assert worst <= 1e-9
         assert straddled > 0
 
     def test_zero_slope_at_every_anchor(self):
