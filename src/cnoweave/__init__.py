@@ -15,7 +15,6 @@ Submodules:
 
 from . import bench, cno, filters, net, sde, serial, spaces, weave  # noqa: F401
 from .errors import (  # noqa: F401
-    BudgetInfeasibleError,
     BudgetOverflowError,
     CnoweaveError,
     ConfigError,

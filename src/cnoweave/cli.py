@@ -24,7 +24,6 @@ import yaml
 
 from . import bench, cno, filters, net, sde, serial, weave
 from .errors import (
-    BudgetInfeasibleError,
     BudgetOverflowError,
     CnoweaveError,
     ConfigError,
@@ -286,12 +285,19 @@ def cmd_weave_test(cfg: dict):
     result = {
         "P": P, "Q": Q, "T": T, "delta": delta, "M_T": w.M_T,
         "max_relative_rollout_error": max_rel,
+        "successor_residual": float(w.successor_residuals.max(initial=0.0)),
         "packing_min_separation": w.packing.min_separation(),
         "aspect_ratio": weave.aspect_ratio(w.codes),
         "aspect_bound": (1 + 4 * w.R ** 2) ** 0.5 / delta,
         "table2": weave.table2_report(P, Q, delta, T, measured_width=_hidden_width(w)),
     }
-    return {"weave_test.json": result}, None
+    # construct_cno's and load_bundle's gate; a miss still writes the report
+    failure = None
+    try:
+        cno._check_successors(w)
+    except IntegrityError as e:
+        failure = e
+    return {"weave_test.json": result}, failure
 
 
 def cmd_sde_bench(cfg: dict):
@@ -461,7 +467,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidArgumentError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BudgetInfeasibleError, BudgetOverflowError, PackingInfeasibleError) as e:
+    except (BudgetOverflowError, PackingInfeasibleError) as e:
         print(f"budget infeasible: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except TrainingShortfallError as e:

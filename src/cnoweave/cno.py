@@ -12,7 +12,6 @@ decoded once per model, and never consults future inputs.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,6 @@ __all__ = [
     "CausalDataset",
     "CnoModel",
     "WindowReport",
-    "memory_for",
     "build_window",
     "construct_cno",
     "predict",
@@ -154,19 +152,6 @@ class CnoModel:
         for theta in thetas:
             theta.setflags(write=False)
         return tuple(thetas)
-
-
-def memory_for(eps_A: float, r: float, c_mem: float = 1.0) -> int:
-    """M = max(1, ceil(c_mem * eps_A^-r)), with a 1e-9 guard against float
-    noise pushing an exact integer over the next ceiling."""
-    if r < 0:
-        raise InvalidArgumentError(f"r must be >= 0, got {r}")
-    if c_mem <= 0:
-        raise InvalidArgumentError(f"c_mem must be positive, got {c_mem}")
-    if eps_A <= 0:
-        raise InvalidArgumentError(f"eps_A must be positive, got {eps_A}")
-    value = c_mem * eps_A ** (-r)
-    return max(1, math.ceil(value - 1e-9))
 
 
 def _as_paths(paths, step_dim: int) -> np.ndarray:

@@ -17,17 +17,6 @@ class SpaceMismatchError(InvalidArgumentError):
     """An element was passed to an operation of a different space."""
 
 
-class BudgetInfeasibleError(CnoweaveError):
-    """A dimension/budget threshold could not be met within the searched range.
-
-    Carries the smallest error actually achieved so the caller can report it.
-    """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class BudgetOverflowError(CnoweaveError):
     """A budget formula overflowed float range; values reported in log-space."""
 

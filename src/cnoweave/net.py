@@ -18,7 +18,7 @@ is the identity (which is what makes depth-padding exact).
 
 Note the bias is applied *before* the activation, in the layer's input space;
 this is the convention the flat layout above dictates, and every operation in
-this module (padding, parallelization, gradients) is consistent with it.
+this module (padding, gradients) is consistent with it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "forward",
     "grad",
     "pad_to",
-    "parallelize",
-    "parallel_param_bound",
     "train",
 ]
 
@@ -297,104 +295,6 @@ def pad_to(spec_src: NetSpec, params_src: np.ndarray, dims_target) -> tuple:
         A_t = np.zeros((dims_target[j + 1], dims_target[j]))
         A_t[:d_out, :d_out] = np.eye(d_out)
         new_layers.append((A_t, np.zeros(dims_target[j]), 1.0))
-    return out_spec, pack(out_spec, new_layers, c)
-
-
-def _relu_extend_depth(spec: NetSpec, theta: np.ndarray, target_depth: int):
-    """Append pass-through layers to a pure-ReLU net, staying pure ReLU.
-
-    Uses the two-channel identity u = relu(u) - relu(-u): the last affine
-    layer is doubled to emit (v, -v), interior appended layers map the pair
-    to itself, and a final [I, -I] layer recombines.
-    """
-    layers, c = unpack(spec, theta)
-    if any(alpha != 0.0 for _, _, alpha in layers):
-        raise InvalidArgumentError("pure-ReLU depth extension needs all slopes 0")
-    J = spec.depth
-    k = target_depth - J
-    if k < 0:
-        raise InvalidArgumentError("target depth below source depth")
-    if k == 0:
-        return spec, np.array(theta, dtype=np.float64, copy=True)
-    d = spec.dims
-    m = d[-1]
-    A_last, b_last, _ = layers[-1]
-    new_layers = list(layers[:-1])
-    new_layers.append((np.vstack([A_last, -A_last]), b_last, 0.0))
-    eye = np.eye(m)
-    keep_pair = np.block([[eye, -eye], [-eye, eye]])
-    for _ in range(k - 1):
-        new_layers.append((keep_pair, np.zeros(2 * m), 0.0))
-    new_layers.append((np.hstack([eye, -eye]), np.zeros(2 * m), 0.0))
-    dims = d[:-1] + (2 * m,) * k + (m,)
-    out_spec = NetSpec(dims, "relu")
-    return out_spec, pack(out_spec, new_layers, c)
-
-
-def parallel_param_bound(member_counts, l, n, c=2):
-    """Upper bound on the parallelization's parameter count.
-
-    ``l`` is the largest input/output width among members, ``n`` the number
-    of members, ``c`` the cost of the activation's identity network (2 for
-    ReLU).
-    """
-    return (11.0 / 16.0 * c * c * l * l * n * n - 1.0) * sum(member_counts)
-
-
-def parallelize(nets) -> tuple:
-    """Stack networks sharing an input into one computing x -> (f_1(x), ..., f_m(x)).
-
-    Mixed depths are supported for pure-ReLU members (synchronized with the
-    two-channel ReLU identity); otherwise members must share depth and their
-    per-layer slopes.  A slope-1 input-duplication layer is prepended so each
-    member keeps its own first-layer bias, which makes the result PReLU.
-    """
-    if not nets:
-        raise InvalidArgumentError("need at least one network")
-    if len(nets) == 1:
-        spec, theta = nets[0]
-        return spec, np.array(theta, dtype=np.float64, copy=True)
-    d_in = nets[0][0].d_in
-    if any(spec.d_in != d_in for spec, _ in nets):
-        raise InvalidArgumentError("members must share the input dimension")
-
-    depths = {spec.depth for spec, _ in nets}
-    if len(depths) > 1:
-        target = max(depths)
-        if not all(spec.activation == "relu" for spec, _ in nets):
-            raise InvalidArgumentError(
-                "mixed depths are only supported for pure-ReLU members"
-            )
-        nets = [_relu_extend_depth(spec, theta, target) for spec, theta in nets]
-
-    J = nets[0][0].depth
-    unpacked = [unpack(spec, theta) for spec, theta in nets]
-    for j in range(J):
-        slopes = {layers[j][2] for layers, _ in unpacked}
-        if len(slopes) > 1:
-            raise InvalidArgumentError(
-                f"members disagree on the slope of layer {j}: {sorted(slopes)}"
-            )
-
-    m = len(nets)
-    dims = (d_in, m * d_in) + tuple(
-        sum(spec.dims[j] for spec, _ in nets) for j in range(1, J + 1)
-    )
-    new_layers = [(np.tile(np.eye(d_in), (m, 1)), np.zeros(d_in), 1.0)]
-    for j in range(J):
-        blocks = [layers[j][0] for layers, _ in unpacked]
-        rows = sum(b.shape[0] for b in blocks)
-        cols = sum(b.shape[1] for b in blocks)
-        A = np.zeros((rows, cols))
-        r = cpos = 0
-        for blk in blocks:
-            A[r : r + blk.shape[0], cpos : cpos + blk.shape[1]] = blk
-            r += blk.shape[0]
-            cpos += blk.shape[1]
-        b = np.concatenate([layers[j][1] for layers, _ in unpacked])
-        new_layers.append((A, b, unpacked[0][0][j][2]))
-    c = np.concatenate([cvec for _, cvec in unpacked])
-    out_spec = NetSpec(dims, "prelu")
     return out_spec, pack(out_spec, new_layers, c)
 
 

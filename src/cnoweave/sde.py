@@ -115,11 +115,6 @@ class ChaosCoords:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([[self.mean], self.coeffs])
 
-    @staticmethod
-    def from_vector(v, horizon: float) -> "ChaosCoords":
-        v = np.asarray(v, dtype=np.float64)
-        return ChaosCoords(mean=float(v[0]), coeffs=v[1:], horizon=horizon)
-
 
 @dataclass(frozen=True)
 class McOracle:

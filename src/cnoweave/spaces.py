@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, InvalidArgumentError, SpaceMismatchError
-from .regularity import Holder, Smooth
+from .errors import InvalidArgumentError, SpaceMismatchError
 
 __all__ = [
     "SchauderSpace",
@@ -45,8 +44,6 @@ __all__ = [
     "metric",
     "metric_tail",
     "truncate",
-    "truncation_error_profile",
-    "select_dims",
 ]
 
 K_MAX_DEFAULT = 64
@@ -135,10 +132,6 @@ class CoordVector:
         if c.ndim != 1:
             raise InvalidArgumentError(f"coords must be 1-D, got shape {c.shape}")
         object.__setattr__(self, "coords", c)
-
-    @property
-    def truncation_level(self):
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -304,56 +297,3 @@ def metric(space: SchauderSpace, x, y) -> float:
             total += 2.0 ** (-k) * phi(running_max)
         return total
     return 0.5 * phi(_banach_norm(space, z))
-
-
-def truncation_error_profile(space: SchauderSpace, sample_set, n_max: int) -> dict:
-    """Table n -> max over samples of d(A_n(x), x), nonincreasing in n."""
-    samples = list(sample_set)
-    if not samples:
-        raise InvalidArgumentError("sample set must be nonempty")
-    coords = [_as_coords(space, x) for x in samples]
-    profile = {}
-    for n in range(1, n_max + 1):
-        worst = 0.0
-        for c in coords:
-            trunc = np.zeros(len(c))
-            trunc[: min(n, len(c))] = c[: min(n, len(c))]
-            cv_full = CoordVector(c, space)
-            cv_trunc = CoordVector(trunc, space)
-            worst = max(worst, metric(space, cv_trunc, cv_full))
-        profile[n] = worst
-    return profile
-
-
-def select_dims(profile_in, profile_out, eps_D, lam, regularity, omega_dagger=None):
-    """Smallest truncation dimensions meeting the decoding-error thresholds.
-
-    The input threshold is (omega_dagger(eps_D / 2) / lam), raised to 1/alpha
-    under Holder regularity; the output threshold is eps_D / 2.
-    ``omega_dagger`` defaults to the identity (1-Lipschitz truncations).
-    """
-    if eps_D <= 0 or lam <= 0:
-        raise InvalidArgumentError("eps_D and lam must be positive")
-    if omega_dagger is None:
-        omega_dagger = lambda u: u  # noqa: E731
-    base = omega_dagger(eps_D / 2.0) / lam
-    if isinstance(regularity, Holder):
-        thr_in = base ** (1.0 / regularity.alpha)
-    elif isinstance(regularity, Smooth):
-        thr_in = base
-    else:
-        raise InvalidArgumentError(f"unknown regularity {regularity!r}")
-    thr_out = eps_D / 2.0
-
-    def scan(profile, thr, label):
-        best = math.inf
-        for n in sorted(profile):
-            best = min(best, profile[n])
-            if profile[n] <= thr:
-                return n
-        raise BudgetInfeasibleError(
-            f"{label} threshold {thr} unreachable; best achieved {best}",
-            achieved=best,
-        )
-
-    return scan(profile_in, thr_in, "input"), scan(profile_out, thr_out, "output")

@@ -68,10 +68,10 @@ class Packing:
         if np.any(norms > self.R + 1e-12):
             raise InvalidArgumentError("packing point outside the ball")
         if len(pts) > 1:
-            d = _pairwise_distances(pts)
-            if d.min() <= self.delta:
+            sep, _ = _distance_extremes(pts)
+            if sep <= self.delta:
                 raise InvalidArgumentError(
-                    f"packing separation {d.min():.6g} not strictly above delta={self.delta}"
+                    f"packing separation {sep:.6g} not strictly above delta={self.delta}"
                 )
 
     @property
@@ -81,18 +81,21 @@ class Packing:
     def min_separation(self) -> float:
         if len(self.points) < 2:
             return math.inf
-        return float(_pairwise_distances(self.points).min())
+        return _distance_extremes(self.points)[0]
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    """Distances between rows a < b of two or more points, in
-    ``np.triu_indices`` order.  One row at a time, so memory stays linear in
-    the size of ``pts``."""
-    rows = []
+def _distance_extremes(pts: np.ndarray) -> tuple:
+    """(min, max) distance between distinct rows of two or more points.  One
+    row at a time, keeping only each row's extremes, so memory stays linear
+    in the size of ``pts``."""
+    lo = np.empty(len(pts) - 1)
+    hi = np.empty(len(pts) - 1)
     for a in range(len(pts) - 1):
         diff = pts[a + 1:] - pts[a]
-        rows.append(np.sqrt(np.sum(diff * diff, axis=-1)))
-    return np.concatenate(rows)
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        lo[a] = d.min()
+        hi[a] = d.max()
+    return float(lo.min()), float(hi.max())
 
 
 def _greedy_farthest(pool: np.ndarray, delta: float, T_needed: int, start: int):
@@ -184,10 +187,10 @@ def aspect_ratio(points) -> float:
         pts = pts[:, None]
     if len(pts) < 2:
         raise InvalidArgumentError("need at least two points")
-    d = _pairwise_distances(pts)
-    if d.min() == 0.0:
+    lo, hi = _distance_extremes(pts)
+    if lo == 0.0:
         raise InvalidArgumentError("duplicate points have no aspect ratio")
-    return float(d.max() / d.min())
+    return hi / lo
 
 
 class Memorizer(NamedTuple):
@@ -235,12 +238,13 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     projections are best separated; one eigendecomposition of the N x N
     Gram lets every try draw at most N - 1 numbers, not n), sort, and build one
     piecewise-linear ReLU interpolant per output coordinate on the shared
-    projection trunk; stacking the per-coordinate heads is the
-    parallelization step.  The interpolant places its knots a quarter-gap
-    away from each anchor, so every anchor sits inside a flat plateau: exact
-    interpolation is unchanged, and — crucially for chained evaluation — the
-    local slope at each anchor is zero, so float-level input noise is damped
-    rather than amplified when the network is iterated.
+    projection trunk; every coordinate's head reads the same knot units, so
+    the heads are the rows of one slope block.  The interpolant places its
+    knots a quarter-gap away from each anchor, so every anchor sits inside a
+    flat plateau: exact interpolation is unchanged, and — crucially for
+    chained evaluation — the local slope at each anchor is zero, so
+    float-level input noise is damped rather than amplified when the network
+    is iterated.
 
     For N >= 2 anchors and K = N - 1 the network has dims
     ``(n, 1, 2K, K, d)`` (paired) or ``(n, 1, 2K, d)`` (signed):
@@ -441,7 +445,7 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
         raise InvalidArgumentError(
             f"T={T} exceeds the viable horizon floor(delta^-Q)={horizon}"
         )
-    m_t = float(_pairwise_distances(thetas).max()) if T > 1 else 0.0
+    m_t = _distance_extremes(thetas)[1] if T > 1 else 0.0
     M_T = max(1.0, m_t)
     packing = pack_ball(Q, R, delta, T, seed=seed)
     codes = np.hstack([thetas / M_T, packing.points[:T]])

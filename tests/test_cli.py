@@ -456,7 +456,25 @@ class TestWeaveTest:
         assert data["max_relative_rollout_error"] <= 1e-6
         assert data["packing_min_separation"] > 0.5
         assert data["aspect_ratio"] <= data["aspect_bound"]
+        assert data["successor_residual"] <= 1e-9
         assert data["table2"]["width_bound"] == 348
+
+    def test_weave_miss_is_5_after_the_report(self, tmp_path, capsys, monkeypatch):
+        real = weave.build_weave
+
+        def perturbed(*args, **kwargs):
+            w = real(*args, **kwargs)
+            return dataclasses.replace(w, hyper_theta=w.hyper_theta + 1e-6)
+
+        monkeypatch.setattr(weave, "build_weave", perturbed)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "w.yaml", {
+            "P": 17, "Q": 4, "T": 8, "delta": 0.5, "out_dir": str(out),
+        })
+        assert run(["weave-test", cfg]) == 5
+        assert "integrity failure: the weave misses window" in capsys.readouterr().err
+        data = json.loads((out / "weave_test.json").read_text())
+        assert data["successor_residual"] > 1e-9
 
 
 class TestDeterminism:

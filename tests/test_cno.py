@@ -35,24 +35,6 @@ class TestTimeGrid:
         assert len(cno.TimeGrid(np.array([0.0, 0.5, 1.0]))) == 3
 
 
-class TestMemoryFor:
-    def test_frozen_example(self):
-        # c_mem = 1, r = 1, eps_A = 0.1 -> ceil(10) = 10 (not 11 from float noise)
-        assert cno.memory_for(0.1, 1.0) == 10
-
-    def test_floor_one(self):
-        assert cno.memory_for(10.0, 1.0) == 1
-
-    def test_r_zero_constant(self):
-        assert cno.memory_for(0.01, 0.0, c_mem=3.0) == 3
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            cno.memory_for(0.0, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            cno.memory_for(0.1, -1.0)
-
-
 class TestBuildWindow:
     def test_left_zero_padding(self):
         path = np.array([[1.0], [2.0], [3.0]])

@@ -1,5 +1,5 @@
-"""Flat-parameter network contracts: layout, forward, padding, parallelization,
-gradients, and training."""
+"""Flat-parameter network contracts: layout, forward, padding, gradients, and
+training."""
 
 import numpy as np
 import pytest
@@ -17,14 +17,6 @@ def random_spec(rng, max_depth=4, max_width=6, activation=None):
     dims = tuple(int(rng.integers(1, max_width + 1)) for _ in range(depth + 1))
     act = activation or ("relu" if rng.random() < 0.5 else "prelu")
     return net.NetSpec(dims, act)
-
-
-def random_theta(spec, rng):
-    """Random parameters honoring the all-slopes-zero ReLU invariant."""
-    theta = rng.standard_normal(net.param_count(spec))
-    if spec.activation == "relu":
-        theta[net._alpha_indices(spec)] = 0.0
-    return theta
 
 
 class TestParamCount:
@@ -154,61 +146,6 @@ class TestPadTo:
         theta = np.zeros(net.param_count(spec))
         with pytest.raises(InvalidArgumentError):
             net.pad_to(spec, theta, (3, 4, 1))
-
-
-class TestParallelize:
-    def test_outputs_stack(self):
-        rng = RNG(5)
-        members = []
-        for _ in range(3):
-            spec = net.NetSpec((4, int(rng.integers(1, 5)), 2), "relu")
-            members.append((spec, random_theta(spec, rng)))
-        big_spec, big_theta = net.parallelize(members)
-        x = rng.standard_normal(4)
-        expected = np.concatenate([net.forward(s, t, x) for s, t in members])
-        got = net.forward(big_spec, big_theta, x)
-        assert np.max(np.abs(got - expected)) <= 1e-12
-
-    def test_mixed_depth_relu(self):
-        rng = RNG(6)
-        s1 = net.NetSpec((3, 4, 2), "relu")
-        s2 = net.NetSpec((3, 5, 4, 2), "relu")
-        members = [
-            (s1, random_theta(s1, rng)),
-            (s2, random_theta(s2, rng)),
-        ]
-        big_spec, big_theta = net.parallelize(members)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            expected = np.concatenate([net.forward(s, t, x) for s, t in members])
-            got = net.forward(big_spec, big_theta, x)
-            assert np.max(np.abs(got - expected)) <= 1e-10
-
-    def test_mixed_depth_prelu_rejected(self):
-        s1 = net.NetSpec((2, 2), "prelu")
-        s2 = net.NetSpec((2, 2, 2), "prelu")
-        t1 = np.zeros(net.param_count(s1))
-        t2 = np.zeros(net.param_count(s2))
-        with pytest.raises(InvalidArgumentError):
-            net.parallelize([(s1, t1), (s2, t2)])
-
-    def test_slope_mismatch_rejected(self):
-        spec = net.NetSpec((2, 2), "prelu")
-        t1 = net.pack(spec, [(np.eye(2), np.zeros(2), 0.25)], np.zeros(2))
-        t2 = net.pack(spec, [(np.eye(2), np.zeros(2), 0.5)], np.zeros(2))
-        with pytest.raises(InvalidArgumentError):
-            net.parallelize([(spec, t1), (spec, t2)])
-
-    def test_param_bound_holds(self):
-        rng = RNG(7)
-        members = []
-        for _ in range(3):
-            spec = net.NetSpec((2, 3, 2), "relu")
-            members.append((spec, random_theta(spec, rng)))
-        big_spec, _ = net.parallelize(members)
-        counts = [net.param_count(s) for s, _ in members]
-        bound = net.parallel_param_bound(counts, l=3, n=len(members))
-        assert net.param_count(big_spec) <= bound
 
 
 class TestGrad:

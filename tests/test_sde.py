@@ -20,9 +20,8 @@ class TestChaosCoords:
 
     def test_vector_round_trip(self):
         c = sde.ChaosCoords(mean=0.5, coeffs=np.array([1.0, -1.0]), horizon=1.0)
-        back = sde.ChaosCoords.from_vector(c.as_vector(), 1.0)
-        assert back.mean == c.mean
-        assert np.array_equal(back.coeffs, c.coeffs)
+        # [mean, *coeffs]
+        assert np.array_equal(c.as_vector(), [0.5, 1.0, -1.0])
 
     def test_horizon_zero_has_no_chaos(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,4 @@
-"""Space instances: projection/reconstruction, metrics, truncation profiles,
-and dimension selection."""
+"""Space instances: projection/reconstruction, metrics, and truncation."""
 
 import math
 
@@ -7,12 +6,7 @@ import numpy as np
 import pytest
 
 from cnoweave import spaces
-from cnoweave.errors import (
-    BudgetInfeasibleError,
-    InvalidArgumentError,
-    SpaceMismatchError,
-)
-from cnoweave.regularity import Holder, Smooth
+from cnoweave.errors import InvalidArgumentError, SpaceMismatchError
 
 RNG = np.random.default_rng
 
@@ -163,21 +157,24 @@ class TestMetric:
             assert 0.5 * nrm / (1 + nrm) - 1e-15 <= d <= 0.5 * nrm + 1e-15
 
 
+def truncation_error(space, samples, n):
+    """max over samples of d(A_n(x), x)."""
+    return max(spaces.metric(space, spaces.truncate(space, x, n), x) for x in samples)
+
+
 class TestTruncation:
     def test_full_dim_profile_zero(self):
         e3 = spaces.euclidean(3)
         samples = [RNG(5).standard_normal(3) for _ in range(5)]
-        prof = spaces.truncation_error_profile(e3, samples, 3)
-        assert prof[3] == 0.0
+        assert truncation_error(e3, samples, 3) == 0.0
 
     def test_frozen_e5_at_n4(self):
         # d(0, e5) has nonzero terms only for k >= 5, each 2^-k Phi(1):
         # sum_{k>=5} 2^-k / 2 = (2^-4) / 2 = 2^-5
         ws = spaces.weighted_sequence()
         e5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        prof = spaces.truncation_error_profile(ws, [e5], 5)
-        assert prof[4] == pytest.approx(2.0 ** -5,
-                                        abs=spaces.metric_tail(ws) + 1e-15)
+        assert truncation_error(ws, [e5], 4) == pytest.approx(
+            2.0 ** -5, abs=spaces.metric_tail(ws) + 1e-15)
 
     def test_profile_nonincreasing(self):
         rng = RNG(6)
@@ -185,57 +182,14 @@ class TestTruncation:
             n_hi = space.coord_dim() or 8
             samples = [spaces.CoordVector(rng.standard_normal(n_hi), space)
                        for _ in range(6)]
-            prof = spaces.truncation_error_profile(space, samples, n_hi)
-            vals = [prof[n] for n in sorted(prof)]
+            vals = [truncation_error(space, samples, n) for n in range(1, n_hi + 1)]
             assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_geometric_decay_strictly_decreasing(self):
         ws = spaces.weighted_sequence()
         x = 2.0 ** -np.arange(1, 9)
-        prof = spaces.truncation_error_profile(ws, [x], 7)
-        vals = [prof[n] for n in sorted(prof)]
+        vals = [truncation_error(ws, [x], n) for n in range(1, 8)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_empty_sample_set(self):
-        with pytest.raises(InvalidArgumentError):
-            spaces.truncation_error_profile(spaces.euclidean(2), [], 2)
-
-
-class TestSelectDims:
-    def test_full_dim_always_selected(self):
-        prof = {1: 0.4, 2: 0.1, 3: 0.0}
-        n_in, n_out = spaces.select_dims(prof, prof, eps_D=1e-9, lam=1.0,
-                                         regularity=Smooth(1))
-        assert (n_in, n_out) == (3, 3)
-
-    def test_threshold_scan(self):
-        prof = {1: 0.5, 2: 0.1, 3: 0.01}
-        n_in, _ = spaces.select_dims(prof, {1: 0.0}, eps_D=0.1, lam=1.0,
-                                     regularity=Smooth(1))
-        # threshold = eps_D/2 = 0.05 -> first n with profile <= 0.05 is 3
-        assert n_in == 3
-
-    def test_output_scan(self):
-        out_prof = {1: 0.2, 2: 0.04}
-        _, n_out = spaces.select_dims({1: 0.0}, out_prof, eps_D=0.1, lam=1.0,
-                                      regularity=Smooth(1))
-        assert n_out == 2
-
-    def test_holder_exponent(self):
-        prof = {1: 0.6, 2: 0.26, 3: 0.2}
-        # base = 0.5/1, Holder alpha=0.5 -> threshold 0.25; smooth would pick n=2
-        n_smooth, _ = spaces.select_dims(prof, {1: 0.0}, eps_D=1.0, lam=1.0,
-                                         regularity=Smooth(1))
-        n_holder, _ = spaces.select_dims(prof, {1: 0.0}, eps_D=1.0, lam=1.0,
-                                         regularity=Holder(0.5))
-        assert n_smooth == 2 and n_holder == 3
-
-    def test_infeasible_reports_best(self):
-        prof = {1: 0.5, 2: 0.2}
-        with pytest.raises(BudgetInfeasibleError) as ei:
-            spaces.select_dims(prof, prof, eps_D=0.01, lam=1.0,
-                               regularity=Smooth(1))
-        assert ei.value.achieved == pytest.approx(0.2)
 
 
 class TestDescriptions:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from cnoweave import net, serial, weave
 from cnoweave.errors import BudgetOverflowError, InvalidArgumentError, PackingInfeasibleError
@@ -60,6 +61,19 @@ class TestAspectRatio:
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidArgumentError):
             weave.aspect_ratio(np.array([0.0, 0.0, 1.0]))
+
+    def test_peak_memory_linear_in_the_points(self):
+        # the 4.5 M pairwise distances of 3,000 points alone take 36 MB
+        pts = RNG(12).standard_normal((3000, 2))
+        d = pdist(pts)
+        tracemalloc.start()
+        try:
+            ratio = weave.aspect_ratio(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ratio == pytest.approx(d.max() / d.min(), rel=1e-12)
+        assert peak < 2 * 2**20
 
 
 class TestMemorize:
