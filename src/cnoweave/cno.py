@@ -7,7 +7,11 @@ at step i is the concatenation of the last M per-step coordinate vectors
 coordinates at step i.  Construction trains one filter core of a common
 shape per window and stores the parameter sequence in a weave model;
 prediction reads each window's parameters back through the weave rollout,
-decoded once per model, and never consults future inputs.
+decoded once per model into the read-only rows of one (T, P) array, and
+never consults future inputs.  Serving runs the filters one layer at a time
+across every step: each layer's elementwise work is one call over the
+horizon and each step's product is its own ``np.dot``, so every output is
+bit-identical to ``net.forward`` of that step's filter.
 """
 
 from __future__ import annotations
@@ -144,14 +148,25 @@ class CnoModel:
         return self.weave_model.T
 
     @cached_property
-    def filters(self) -> tuple:
-        """Each window's filter parameters, read-only, decoded from the weave
-        on first use.  They do not depend on the input path, so one rollout
+    def _thetas(self) -> np.ndarray:
+        """The (T, P) filter parameters, read-only, decoded from the weave on
+        first use.  They do not depend on the input path, so one rollout
         serves every prediction the model makes."""
         thetas = weave.rollout(self.weave_model, self.horizon)
-        for theta in thetas:
-            theta.setflags(write=False)
-        return tuple(thetas)
+        thetas.setflags(write=False)
+        return thetas
+
+    @cached_property
+    def filters(self) -> tuple:
+        """Each window's filter parameters: the read-only rows of one
+        decoded array."""
+        return tuple(self._thetas)
+
+    @cached_property
+    def _step_layers(self) -> tuple:
+        """Every filter's blocks as per-layer views across the steps, for
+        :func:`net._realize_steps`; views into the decoded array, not copies."""
+        return net._step_blocks(self.synced_spec, self._thetas)
 
 
 def _as_paths(paths, step_dim: int) -> np.ndarray:
@@ -176,16 +191,19 @@ def _windows(paths: np.ndarray, M: int) -> np.ndarray:
     """Every window of (n_paths, n_steps, step_dim) paths, shaped
     (n_paths, n_steps, M * step_dim): row i holds steps (i - M, i],
     left-padded with zeros.  The one place the causal window is laid out.
+    The memory is step-major, so each step's windows are one contiguous
+    block: a training window and a serving step read them in place.
 
     One slice copy per lag: on the short paths ``predict`` sees this costs
     less than a fancy index, whose index array alone takes a few µs."""
     if M < 1:
         raise InvalidArgumentError(f"memory M must be >= 1, got {M}")
     n_paths, n_steps, step_dim = paths.shape
-    out = np.zeros((n_paths, n_steps, M, step_dim))
+    steps = paths.transpose(1, 0, 2)
+    out = np.zeros((n_steps, n_paths, M, step_dim))
     for lag in range(min(M, n_steps)):
-        out[:, lag:, M - 1 - lag] = paths[:, : n_steps - lag]
-    return out.reshape(n_paths, n_steps, M * step_dim)
+        out[lag:, :, M - 1 - lag] = steps[: n_steps - lag]
+    return out.reshape(n_steps, n_paths, M * step_dim).transpose(1, 0, 2)
 
 
 def build_window(x_path: np.ndarray, i: int, M: int, step_dim: int) -> np.ndarray:
@@ -303,8 +321,10 @@ def _check_successors(w: weave.WeaveModel):
 
 def predict_paths(model: CnoModel, paths, horizon: int = None) -> np.ndarray:
     """Causal rollout of a batch of paths, shaped (n_paths, horizon, out_dim):
-    per step, one filter forward over every path's trailing window, with
-    that window's parameters from the model's decoded weave."""
+    step i runs window i's filter, from the model's decoded weave, over every
+    path's trailing window.  The filters run layer by layer across the steps,
+    and each step's output is bit-identical to ``net.forward`` of its filter
+    on its windows."""
     paths = _as_paths(paths, model.step_dim)
     if horizon is None:
         horizon = model.horizon
@@ -318,11 +338,9 @@ def predict_paths(model: CnoModel, paths, horizon: int = None) -> np.ndarray:
         )
     # window every step the model serves, not only the first horizon, so that
     # a window reading ahead would change the outputs the causality audit checks
-    windows = _windows(paths[:, : model.horizon], model.M)
-    out = np.empty((len(paths), horizon, model.synced_spec.d_out))
-    for i in range(horizon):
-        out[:, i] = net.forward(model.synced_spec, model.filters[i], windows[:, i])
-    return out
+    windows = _windows(paths[:, : model.horizon], model.M).transpose(1, 0, 2)
+    layers, c = model._step_layers
+    return net._realize_steps(layers, c, windows[:horizon]).transpose(1, 0, 2)
 
 
 def predict(model: CnoModel, x_path, horizon: int = None):

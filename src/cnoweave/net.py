@@ -101,6 +101,26 @@ def _blocks(spec: NetSpec, buf: np.ndarray, slope_views=False):
     return layers, buf[pos:]
 
 
+def _step_blocks(spec: NetSpec, thetas: np.ndarray):
+    """:func:`_blocks` of every row of a (T, P) buffer at once: ``A_j`` as a
+    (T, d_{j+1}, d_j) view, and ``b_j``, ``alpha_j`` and ``c`` as (T, 1, .)
+    views that broadcast over each step's batch.  Nothing is copied."""
+    d = spec.dims
+    T = len(thetas)
+    rows = thetas[:, None, :]
+    layers = []
+    pos = 0
+    for j in range(spec.depth):
+        a_len = d[j + 1] * d[j]
+        A = thetas[:, pos : pos + a_len].reshape(T, d[j + 1], d[j])
+        pos += a_len
+        b = rows[:, :, pos : pos + d[j]]
+        pos += d[j]
+        layers.append((A, b, rows[:, :, pos : pos + 1]))
+        pos += 1
+    return layers, rows[:, :, pos:]
+
+
 def unpack(spec: NetSpec, theta: np.ndarray):
     """Split theta into ([(A_j, b_j, alpha_j)], c) views in block order."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -175,6 +195,26 @@ def _realize(layers, c, h):
         h = h + b
         h = np.dot(np.maximum(h, alpha * h, out=h), A.T)
     h += c
+    return h
+
+
+def _realize_steps(layers, c, h):
+    """:func:`_realize` of T nets, one per step, layer by layer across the
+    steps: ``layers`` and ``c`` are :func:`_step_blocks` views and ``h`` is
+    (n_steps, batch, d_0) with n_steps <= T, row i the batch net i sees.
+    Each layer's elementwise work is one call over every step, and each step's
+    product is its own ``np.dot`` on the same (batch, d_j) rows that
+    :func:`_realize` multiplies, so every step's output is bit-identical to
+    ``_realize`` on that net alone."""
+    n = len(h)
+    for A, b, alpha in layers:
+        h = h + b[:n]
+        np.maximum(h, alpha[:n] * h, out=h)
+        nxt = np.empty(h.shape[:-1] + (A.shape[1],))
+        for h_i, At_i, out_i in zip(h, A.transpose(0, 2, 1), nxt):
+            np.dot(h_i, At_i, out=out_i)
+        h = nxt
+    h += c[:n]
     return h
 
 

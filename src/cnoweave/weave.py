@@ -64,6 +64,8 @@ class Packing:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[1] != self.Q:
             raise InvalidArgumentError(f"points must be (count, {self.Q})")
+        if not np.isfinite(pts).all():
+            raise InvalidArgumentError("packing points must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(norms > self.R + 1e-12):
             raise InvalidArgumentError("packing point outside the ball")
@@ -187,6 +189,8 @@ def aspect_ratio(points) -> float:
         pts = pts[:, None]
     if len(pts) < 2:
         raise InvalidArgumentError("need at least two points")
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("points must be finite")
     lo, hi = _distance_extremes(pts)
     if lo == 0.0:
         raise InvalidArgumentError("duplicate points have no aspect ratio")
@@ -457,17 +461,19 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
     )
 
 
-def rollout(w: WeaveModel, steps: int):
-    """theta-hat sequence: read out, advance the latent code, repeat."""
+def rollout(w: WeaveModel, steps: int) -> np.ndarray:
+    """theta-hat sequence as a (steps, P) array: read out, advance the latent
+    code, repeat.  Each readout is written into its row, so the sequence is
+    the only model-sized array the rollout makes."""
     if steps < 1 or steps > w.T:
         raise InvalidArgumentError(f"steps must be in [1, {w.T}], got {steps}")
     # each step is net.forward's layer loop and the readout, nothing else
     layers, c = w.hyper_layers
     M_T, P = w.M_T, w.P
-    out = []
+    out = np.empty((steps, P))
     z = w.z0
     for i in range(steps):
-        out.append(M_T * z[:P])
+        np.multiply(z[:P], M_T, out=out[i])
         if i < steps - 1:
             z = net._realize(layers, c, z)
     return out
@@ -485,13 +491,17 @@ def table2_report(P: int, Q: int, delta: float, T: int, measured_width=None) -> 
         raise InvalidArgumentError(f"T={T} exceeds I_delta_Q={I}")
     width_bound = (P + Q) * I + 12
     log_i = math.log(I) if I > 1 else 1.0
-    bracket = max(0.0, 1.0 + (math.log(I * I * math.sqrt(2.0)) - math.log(delta)) / math.log(2.0))
-    depth_expr = I * (1.0 + math.sqrt(I * log_i) * (1.0 + math.log(2.0) / log_i * bracket))
-    params_expr = (
-        I ** 3 * (P + Q) ** 2
-        * (1.0 + (P + Q) * math.sqrt(I * log_i)
-           * (1.0 + math.log(2.0) / log_i * max(0.0, width_bound + (math.log(I * I * math.sqrt(2.0)) - math.log(delta)) / math.log(2.0))))
-    )
+    try:
+        bracket = max(0.0, 1.0 + (math.log(I * I * math.sqrt(2.0)) - math.log(delta)) / math.log(2.0))
+        depth_expr = I * (1.0 + math.sqrt(I * log_i) * (1.0 + math.log(2.0) / log_i * bracket))
+        params_expr = (
+            I ** 3 * (P + Q) ** 2
+            * (1.0 + (P + Q) * math.sqrt(I * log_i)
+               * (1.0 + math.log(2.0) / log_i * max(0.0, width_bound + (math.log(I * I * math.sqrt(2.0)) - math.log(delta)) / math.log(2.0))))
+        )
+    except OverflowError:  # an integer horizon past float range
+        raise BudgetOverflowError(f"the Table-2 expressions overflow float range at "
+                                  f"I_delta_Q={I}", log_value=math.log(I)) from None
     report = {
         "I_delta_Q": I,
         "width_bound": width_bound,

@@ -445,6 +445,22 @@ def test_drifted_weave_is_5(bundle, tmp_path, capsys):
     assert capsys.readouterr().err.count("integrity failure: the weave misses window") == 3
 
 
+def test_nan_packing_point_is_5(bundle, tmp_path, capsys):
+    # a re-hashed weave.bin whose first packing point has a NaN coordinate
+    _, out = bundle
+    tampered = tmp_path / "bundle"
+    shutil.copytree(out / "bundle", tampered)
+    w = serial.load_weave(str(tampered / "weave.bin"))
+    points = w.packing.points.copy()
+    points[0, 0] = np.nan
+    packing = object.__new__(weave.Packing)  # skips the check under test
+    packing.__dict__.update(vars(w.packing), points=points)
+    serial.save_weave(str(tampered / "weave.bin"), dataclasses.replace(w, packing=packing))
+    serial.write_manifest(str(tampered), {}, serial.BUNDLE_FILES, {})
+    assert run(["inspect", str(tampered)]) == 5
+    assert "packing points must be finite" in capsys.readouterr().err
+
+
 class TestWeaveTest:
     def test_report_fields(self, tmp_path, capsys):
         out = tmp_path / "o"

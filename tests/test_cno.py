@@ -2,6 +2,7 @@
 weaving, rollout prediction, and the causality audit."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,78 @@ class TestDecodeOnce:
             with pytest.raises(ValueError):
                 theta[0] = 1.0
         assert model.filters is model.filters
+
+
+def woven_model(thetas, dims, M, step_dim):
+    """A model serving the given filter parameters through their weave, with
+    no training."""
+    return cno.CnoModel(
+        weave_model=weave.build_weave(thetas, Q=4, delta=0.5, seed=0),
+        synced_spec=net.NetSpec(dims, "prelu"),
+        grid=cno.TimeGrid(np.arange(len(thetas), dtype=np.float64)), M=M,
+        step_dim=step_dim, out_dim=dims[-1], out_spaces=[], reports=[], Q=4, delta=0.5,
+        seed=0,
+    )
+
+
+class TestLayerMajorServing:
+    """predict_paths runs the filters layer by layer across the steps; each
+    step stays bit-identical to net.forward of its own filter."""
+
+    @pytest.fixture(scope="class")
+    def deep_model(self):
+        # depth 3, step_dim 3, and M = 6 longer than the 4-step paths
+        dims, T = (18, 5, 4, 2), 4
+        spec = net.NetSpec(dims)
+        thetas = RNG(21).standard_normal((T, net.param_count(spec)))
+        # slopes outside [0, 1] take the alpha * h branch of max(h, alpha * h)
+        thetas[:, net._alpha_indices(spec)] = np.resize([0.0, 0.3, -0.7, 1.6], (T, 3))
+        return woven_model(thetas, dims, M=6, step_dim=3)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 7])
+    def test_every_step_is_its_filters_forward(self, deep_model, n_paths):
+        model = deep_model
+        paths = RNG(n_paths).standard_normal((n_paths, model.horizon, model.step_dim))
+        for horizon in range(1, model.horizon + 1):
+            out = cno.predict_paths(model, paths, horizon)
+            for i in range(horizon):
+                windows = np.stack([cno.build_window(p, i, model.M, model.step_dim)
+                                    for p in paths])
+                direct = net.forward(model.synced_spec, model.filters[i], windows)
+                assert np.array_equal(out[:, i], direct)
+                if n_paths == 1:  # and a lone path against its 1-D window's forward
+                    assert np.array_equal(
+                        out[0, i], net.forward(model.synced_spec, model.filters[i], windows[0]))
+
+    def test_audit_holds_at_every_step(self, deep_model):
+        rng = RNG(5)
+        shape = (deep_model.horizon, deep_model.step_dim)
+        for i in range(deep_model.horizon):
+            a = rng.standard_normal(shape)
+            b = a.copy()
+            b[i + 1:] = rng.standard_normal(b[i + 1:].shape)
+            assert cno.causality_audit(deep_model, a, b, i)
+
+    def test_decode_and_serve_memory_is_linear(self):
+        dims, T = (4, 2000, 5, 1), 8
+        thetas = RNG(3).standard_normal((T, net.param_count(net.NetSpec(dims))))
+        model = woven_model(thetas, dims, M=4, step_dim=1)
+        path = RNG(4).random((T, 1))
+        tracemalloc.start()
+        try:
+            model.filters
+            cno.predict(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * thetas.nbytes
+        assert weave.rollout(model.weave_model, 2).shape == (2, thetas.shape[1])
+        base = model.filters[0].base
+        assert base.shape == thetas.shape and not base.flags.writeable
+        assert all(f.base is base and not f.flags.writeable for f in model.filters)
+        layers, c = model._step_layers
+        views = [c] + [v for layer in layers for v in layer]
+        assert all(np.shares_memory(v, base) for v in views)
 
 
 class TestPredictPaths:

@@ -50,6 +50,12 @@ class TestPackBall:
         with pytest.raises(InvalidArgumentError):
             weave.Packing(2, 1.0, 0.5, np.array([[0.0, 0.0], [0.1, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # a NaN fails every comparison, so the ball and separation checks alone pass it
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            weave.Packing(2, 1.0, 0.5, np.array([[bad, 0.0], [0.9, 0.0]]))
+
 
 class TestAspectRatio:
     def test_frozen_0_1_3(self):
@@ -61,6 +67,11 @@ class TestAspectRatio:
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidArgumentError):
             weave.aspect_ratio(np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            weave.aspect_ratio(np.array([[bad, 0.0], [0.9, 0.0], [0.0, 0.5]]))
 
     def test_peak_memory_linear_in_the_points(self):
         # the 4.5 M pairwise distances of 3,000 points alone take 36 MB
@@ -375,6 +386,11 @@ class TestTable2:
     def test_horizon_overflow_is_typed(self):
         with pytest.raises(BudgetOverflowError):
             weave.viable_horizon(2000, 0.5)
+
+    def test_expression_overflow_is_typed(self):
+        # I = floor(delta^-4) ~ 3e211 fits a float, but I^2 does not
+        with pytest.raises(BudgetOverflowError):
+            weave.table2_report(5, 4, 5.854626017002062e-54, 4)
 
     def test_frozen_width_348(self):
         rep = weave.table2_report(17, 4, 0.5, 16)
