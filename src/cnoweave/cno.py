@@ -166,7 +166,7 @@ class CnoModel:
     def _step_layers(self) -> tuple:
         """Every filter's blocks as per-layer views across the steps, for
         :func:`net._realize_steps`; views into the decoded array, not copies."""
-        return net._step_blocks(self.synced_spec, self._thetas)
+        return net._blocks(self.synced_spec, self._thetas)
 
 
 def _as_paths(paths, step_dim: int) -> np.ndarray:

@@ -7,6 +7,9 @@ and a single flat parameter vector laid out as ordered blocks
 
 with ``A_j`` of shape ``d_{j+1} x d_j`` (row-major), ``b_j`` of length ``d_j``,
 ``alpha_j`` a scalar PReLU slope, and an output bias ``c`` of length ``d_J``.
+:func:`param_count` gives the layout's size and :func:`_blocks` its order:
+it walks a (P,) vector or a (T, P) stack of them and returns views of every
+block, which every other function here reads or writes through.
 The realization is the recursion
 
     x_0 = x
@@ -81,48 +84,30 @@ def param_count(spec: NetSpec) -> int:
     return J + sum(d[j] * (d[j + 1] + 1) for j in range(J)) + d[-1]
 
 
-def _blocks(spec: NetSpec, buf: np.ndarray, slope_views=False):
-    """([(A_j, b_j, alpha_j)], c) views into a flat buffer of theta's layout.
-
-    ``alpha_j`` is the slope's value, or with ``slope_views`` a length-1 view,
-    so that writing any block writes ``buf``.
-    """
+def _blocks(spec: NetSpec, buf: np.ndarray):
+    """([(A_j, b_j, alpha_j)], c) views into ``buf``, whose last axis holds
+    theta's layout: one (P,) vector or a (T, P) stack of them.  Every block
+    keeps the leading axes: ``A_j`` is (..., d_{j+1}, d_j), ``b_j`` (..., d_j),
+    ``alpha_j`` (..., 1) and ``c`` (..., d_J).  They are views, never copies,
+    so writing a block writes ``buf``.  With :func:`param_count` this is the
+    one place that knows the layout."""
     d = spec.dims
+    lead = buf.shape[:-1]
     layers = []
     pos = 0
     for j in range(spec.depth):
         a_len = d[j + 1] * d[j]
-        A = buf[pos : pos + a_len].reshape(d[j + 1], d[j])
+        A = buf[..., pos : pos + a_len].reshape(lead + (d[j + 1], d[j]))
         pos += a_len
-        b = buf[pos : pos + d[j]]
+        b = buf[..., pos : pos + d[j]]
         pos += d[j]
-        layers.append((A, b, buf[pos : pos + 1] if slope_views else buf[pos]))
+        layers.append((A, b, buf[..., pos : pos + 1]))
         pos += 1
-    return layers, buf[pos:]
-
-
-def _step_blocks(spec: NetSpec, thetas: np.ndarray):
-    """:func:`_blocks` of every row of a (T, P) buffer at once: ``A_j`` as a
-    (T, d_{j+1}, d_j) view, and ``b_j``, ``alpha_j`` and ``c`` as (T, 1, .)
-    views that broadcast over each step's batch.  Nothing is copied."""
-    d = spec.dims
-    T = len(thetas)
-    rows = thetas[:, None, :]
-    layers = []
-    pos = 0
-    for j in range(spec.depth):
-        a_len = d[j + 1] * d[j]
-        A = thetas[:, pos : pos + a_len].reshape(T, d[j + 1], d[j])
-        pos += a_len
-        b = rows[:, :, pos : pos + d[j]]
-        pos += d[j]
-        layers.append((A, b, rows[:, :, pos : pos + 1]))
-        pos += 1
-    return layers, rows[:, :, pos:]
+    return layers, buf[..., pos:]
 
 
 def unpack(spec: NetSpec, theta: np.ndarray):
-    """Split theta into ([(A_j, b_j, alpha_j)], c) views in block order."""
+    """Split theta into its :func:`_blocks` views, checking its length."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (param_count(spec),):
         raise InvalidArgumentError(
@@ -133,26 +118,25 @@ def unpack(spec: NetSpec, theta: np.ndarray):
 
 def pack(spec: NetSpec, layers, c) -> np.ndarray:
     """Inverse of :func:`unpack`; validates every block shape."""
-    d = spec.dims
     if len(layers) != spec.depth:
         raise InvalidArgumentError(f"expected {spec.depth} layers, got {len(layers)}")
-    parts = []
-    for j, (A, b, alpha) in enumerate(layers):
+    theta = np.empty(param_count(spec))
+    blocks, c_out = _blocks(spec, theta)
+    for j, ((A, b, alpha), (A_out, b_out, alpha_out)) in enumerate(zip(layers, blocks)):
         A = np.asarray(A, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        if A.shape != (d[j + 1], d[j]) or b.shape != (d[j],):
+        if A.shape != A_out.shape or b.shape != b_out.shape or np.size(alpha) != 1:
             raise InvalidArgumentError(
-                f"layer {j} block shapes {A.shape}/{b.shape} do not match dims {d}"
+                f"layer {j} block shapes {A.shape}/{b.shape}/{np.shape(alpha)} "
+                f"do not match dims {spec.dims}"
             )
-        parts.append(A.ravel())
-        parts.append(b)
-        parts.append(np.array([float(alpha)]))
+        A_out[:] = A
+        b_out[:] = b
+        alpha_out[:] = float(np.asarray(alpha).item())  # numpy would store None as NaN
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (d[-1],):
-        raise InvalidArgumentError(f"c has shape {c.shape}, expected ({d[-1]},)")
-    parts.append(c)
-    theta = np.concatenate(parts)
-    assert theta.shape == (param_count(spec),)
+    if c.shape != c_out.shape:
+        raise InvalidArgumentError(f"c has shape {c.shape}, expected {c_out.shape}")
+    c_out[:] = c
     return theta
 
 
@@ -163,14 +147,13 @@ def init_params(spec: NetSpec, seed=0) -> np.ndarray:
     (zero for pure ReLU specs, which must keep all slopes at 0).
     """
     rng = np.random.default_rng(seed)
-    d = spec.dims
-    alpha0 = 0.0 if spec.activation == "relu" else 0.25
-    layers = []
-    for j in range(spec.depth):
-        lim = math.sqrt(6.0 / d[j])
-        A = rng.uniform(-lim, lim, size=(d[j + 1], d[j]))
-        layers.append((A, np.zeros(d[j]), alpha0))
-    return pack(spec, layers, np.zeros(d[-1]))
+    theta = np.zeros(param_count(spec))
+    layers, _ = _blocks(spec, theta)
+    for A, _, alpha in layers:
+        lim = math.sqrt(6.0 / A.shape[1])  # the fan-in d_j
+        A[:] = rng.uniform(-lim, lim, size=A.shape)
+        alpha[:] = 0.0 if spec.activation == "relu" else 0.25
+    return theta
 
 
 def forward(spec: NetSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -200,34 +183,22 @@ def _realize(layers, c, h):
 
 def _realize_steps(layers, c, h):
     """:func:`_realize` of T nets, one per step, layer by layer across the
-    steps: ``layers`` and ``c`` are :func:`_step_blocks` views and ``h`` is
-    (n_steps, batch, d_0) with n_steps <= T, row i the batch net i sees.
-    Each layer's elementwise work is one call over every step, and each step's
-    product is its own ``np.dot`` on the same (batch, d_j) rows that
-    :func:`_realize` multiplies, so every step's output is bit-identical to
-    ``_realize`` on that net alone."""
+    steps: ``layers`` and ``c`` are :func:`_blocks` views of a (T, P) stack
+    and ``h`` is (n_steps, batch, d_0) with n_steps <= T, row i the batch net
+    i sees.  Each layer's elementwise work is one call over every step, and
+    each step's product is its own ``np.dot`` on the same (batch, d_j) rows
+    that :func:`_realize` multiplies, so every step's output is bit-identical
+    to ``_realize`` on that net alone."""
     n = len(h)
     for A, b, alpha in layers:
-        h = h + b[:n]
-        np.maximum(h, alpha[:n] * h, out=h)
+        h = h + b[:n, None]
+        np.maximum(h, alpha[:n, None] * h, out=h)
         nxt = np.empty(h.shape[:-1] + (A.shape[1],))
         for h_i, At_i, out_i in zip(h, A.transpose(0, 2, 1), nxt):
             np.dot(h_i, At_i, out=out_i)
         h = nxt
-    h += c[:n]
+    h += c[:n, None]
     return h
-
-
-def _alpha_indices(spec: NetSpec) -> np.ndarray:
-    """Flat indices of the per-layer slope entries."""
-    d = spec.dims
-    idx = []
-    pos = 0
-    for j in range(spec.depth):
-        pos += d[j + 1] * d[j] + d[j]
-        idx.append(pos)
-        pos += 1
-    return np.array(idx, dtype=np.intp)
 
 
 def _alpha_branch_mask(u, au):
@@ -263,7 +234,7 @@ def _backward(layers, us, ss, g, grads, slopes=True):
     """Reverse sweep; ``g`` is the batched upstream (N, d_J).
 
     Writes the gradient, summed over the batch, into ``grads``: the
-    :func:`_blocks` slope views of a flat buffer.  With ``slopes`` false the slope
+    :func:`_blocks` views of a flat buffer.  With ``slopes`` false the slope
     entries are set to 0, which keeps a ReLU net's slopes at 0.
     """
     grad_layers, dc = grads
@@ -291,7 +262,7 @@ def grad(spec: NetSpec, theta: np.ndarray, x: np.ndarray, upstream: np.ndarray) 
     g = np.asarray(upstream, dtype=np.float64).reshape(1, spec.d_out)
     _, us, ss = _forward_cached(layers, c, x)
     out = np.empty(param_count(spec))  # _backward writes every entry
-    _backward(layers, us, ss, g, _blocks(spec, out, slope_views=True))
+    _backward(layers, us, ss, g, _blocks(spec, out))
     return out
 
 
@@ -322,20 +293,18 @@ def pad_to(spec_src: NetSpec, params_src: np.ndarray, dims_target) -> tuple:
             )
     layers, c = unpack(spec_src, params_src)
     out_spec = NetSpec(dims_target, "prelu")
-    new_layers = []
-    for j in range(J):
-        A, b, alpha = layers[j]
-        A_t = np.zeros((dims_target[j + 1], dims_target[j]))
-        A_t[: src[j + 1], : src[j]] = A
-        b_t = np.zeros(dims_target[j])
-        b_t[: src[j]] = b
-        new_layers.append((A_t, b_t, alpha))
+    theta = np.zeros(param_count(out_spec))
+    new_layers, c_t = _blocks(out_spec, theta)
+    for (A, b, alpha), (A_t, b_t, alpha_t) in zip(layers, new_layers):
+        A_t[: A.shape[0], : A.shape[1]] = A
+        b_t[: b.shape[0]] = b
+        alpha_t[:] = alpha
     d_out = src[-1]
-    for j in range(J, J_star):
-        A_t = np.zeros((dims_target[j + 1], dims_target[j]))
+    for A_t, _, alpha_t in new_layers[J:]:
         A_t[:d_out, :d_out] = np.eye(d_out)
-        new_layers.append((A_t, np.zeros(dims_target[j]), 1.0))
-    return out_spec, pack(out_spec, new_layers, c)
+        alpha_t[:] = 1.0
+    c_t[:] = c
+    return out_spec, theta
 
 
 TRAIN_OPTIONS = ("lr", "epochs", "seed", "batch")
@@ -387,9 +356,9 @@ def train(spec: NetSpec, dataset, opts=None):
     theta = init_params(spec, seed)
     # the step updates theta in place through these views, so a minibatch
     # neither unpacks nor packs
-    layers, cvec = _blocks(spec, theta, slope_views=True)
+    layers, cvec = _blocks(spec, theta)
     gradvec = np.empty_like(theta)
-    grads = _blocks(spec, gradvec, slope_views=True)
+    grads = _blocks(spec, gradvec)
     slopes = spec.activation != "relu"
     trace = []
     best = math.inf

@@ -47,9 +47,17 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_file(path: str) -> str:
+def _read_file(path: str) -> bytearray:
+    """The bytes of the file at ``path`` in a buffer of their own; the spare
+    byte keeps a file that grew while being read longer than its size."""
     with open(path, "rb") as fh:
-        return sha256_bytes(fh.read())
+        data = bytearray(os.fstat(fh.fileno()).st_size + 1)
+        del data[fh.readinto(data):]
+    return data
+
+
+def sha256_file(path: str) -> str:
+    return sha256_bytes(_read_file(path))
 
 
 def _parse_json(data: bytes, where: str) -> dict:
@@ -84,33 +92,36 @@ def _write_record(path: str, magic: bytes, header: dict, blocks):
             fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
-def _read_record(path: str, magic: bytes, layout):
-    """Read the record at ``path``: return its header, what ``layout`` parsed
-    from the header, and its float64 blocks.
+def _read_record(data: bytearray, path: str, magic: bytes, layout):
+    """Parse ``data``, the bytes of the record file ``path``: return its
+    header, what ``layout`` parsed from the header, and its float64 blocks.
 
     ``layout(header)`` returns a parsed value and the number of floats in
-    each block.  The payload is read once, and each block is a view into it."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if line != magic:
-            raise IntegrityError(f"{path}: bad magic {line!r}")
-        header = _parse_json(fh.readline(), path)
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise IntegrityError(f"{path}: unknown schema {header.get('schema_version')}")
-        with _fields_of(path):
-            parsed, sizes = layout(header)
-            if not all(type(n) is int and n >= 0 for n in sizes):
-                raise ValueError(f"block sizes {sizes} are not counts")
-        expected = 8 * sum(sizes)
-        actual = os.fstat(fh.fileno()).st_size - fh.tell()
-        if actual != expected:
-            raise IntegrityError(f"{path}: expected {expected} payload bytes, got {actual}")
-        payload = bytearray(expected)
-        if fh.readinto(payload) != expected:
-            raise IntegrityError(f"{path}: payload changed while reading")
-    blocks, offset = [], 0
+    each block.  Each block is a view into ``data``, whose payload is first
+    moved down in place onto an 8-byte boundary: numpy runs arithmetic on
+    unaligned floats through its slow paths."""
+    line_end = data.find(b"\n") + 1 or len(data)
+    if data[:line_end] != magic:
+        raise IntegrityError(f"{path}: bad magic {bytes(data[:line_end])!r}")
+    offset = data.find(b"\n", line_end) + 1 or len(data)
+    header = _parse_json(data[line_end:offset], path)
+    if header.get("schema_version") != SCHEMA_VERSION:
+        raise IntegrityError(f"{path}: unknown schema {header.get('schema_version')}")
+    with _fields_of(path):
+        parsed, sizes = layout(header)
+        if not all(type(n) is int and n >= 0 for n in sizes):
+            raise ValueError(f"block sizes {sizes} are not counts")
+    expected = 8 * sum(sizes)
+    if len(data) - offset != expected:
+        raise IntegrityError(f"{path}: expected {expected} payload bytes, "
+                             f"got {len(data) - offset}")
+    aligned = offset - offset % 8
+    view = memoryview(data)
+    view[aligned : aligned + expected] = view[offset:]  # a memmove
+    offset = aligned
+    blocks = []
     for n in sizes:
-        blocks.append(np.frombuffer(payload, "<f8", n, offset))
+        blocks.append(np.frombuffer(data, "<f8", n, offset))
         offset += 8 * n
     return header, parsed, blocks
 
@@ -125,7 +136,7 @@ def load_net(path: str):
         spec = net.NetSpec(tuple(h["dims"]), h["activation"])
         return spec, [net.param_count(spec)]
 
-    _, spec, (theta,) = _read_record(path, NET_MAGIC, layout)
+    _, spec, (theta,) = _read_record(_read_file(path), path, NET_MAGIC, layout)
     return spec, theta
 
 
@@ -141,19 +152,28 @@ def save_weave(path: str, w: weave.WeaveModel):
 
 
 def load_weave(path: str) -> weave.WeaveModel:
+    return _parse_weave(_read_file(path), path)
+
+
+def _parse_weave(data: bytearray, path: str) -> weave.WeaveModel:
+    """The weave in ``data``, the bytes of the weave file ``path``, whose
+    points block must repeat its codes' packing coordinates byte for byte."""
     def layout(h):
         spec = net.NetSpec(tuple(h["hyper_dims"]), h["hyper_activation"])
         return spec, [h["T"] * h["Q"], h["T"] * (h["P"] + h["Q"]), net.param_count(spec)]
 
-    h, hyper_spec, (points, codes, theta) = _read_record(path, WEAVE_MAGIC, layout)
+    h, hyper_spec, (points, codes, theta) = _read_record(data, path, WEAVE_MAGIC, layout)
     with _fields_of(path):
         P, Q, T = h["P"], h["Q"], h["T"]
-        packing = weave.Packing(Q, h["R"], h["delta"], points.reshape(T, Q))
-        return weave.WeaveModel(
-            Q=Q, P=P, M_T=h["M_T"], delta=h["delta"], R=h["R"], packing=packing,
+        w = weave.WeaveModel(
+            Q=Q, P=P, M_T=h["M_T"], delta=h["delta"], R=h["R"],
             codes=codes.reshape(T, P + Q), hyper_spec=hyper_spec, hyper_theta=theta,
             seed=h["seed"],
         )
+    if points.tobytes() != w.packing.points.tobytes():
+        raise IntegrityError(f"{path}: the points block differs from the codes' "
+                             f"packing coordinates")
+    return w
 
 
 def write_manifest(out_dir: str, config: dict, files, timings: dict) -> dict:
@@ -199,9 +219,11 @@ def save_bundle(out_dir: str, model: cno.CnoModel, config: dict = None,
     return write_manifest(out_dir, config or {}, BUNDLE_FILES, timings or {})
 
 
-def verify_bundle(bundle_dir: str) -> dict:
+def verify_bundle(bundle_dir: str) -> tuple:
     """Check that the manifest lists exactly the bundle's files and that every
-    hash matches; raise on any difference."""
+    hash matches; raise on any difference.  Return the manifest and a map of
+    each file's name to its bytes, read once and hashed as read, so that a
+    caller parses what was hashed."""
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise IntegrityError(f"{bundle_dir}: missing manifest.json")
@@ -215,14 +237,16 @@ def verify_bundle(bundle_dir: str) -> dict:
     files = manifest["files"]
     if not isinstance(files, dict) or sorted(files) != sorted(BUNDLE_FILES):
         raise IntegrityError(f"the manifest must list exactly the files {list(BUNDLE_FILES)}")
+    contents = {}
     for name, expected in files.items():
         path = os.path.join(bundle_dir, name)
         if not os.path.exists(path):
             raise IntegrityError(f"{name}: file missing from bundle")
-        actual = sha256_file(path)
+        contents[name] = _read_file(path)
+        actual = sha256_bytes(contents[name])
         if actual != expected:
             raise IntegrityError(f"{name}: hash mismatch (expected {expected}, got {actual})")
-    return manifest
+    return manifest, contents
 
 
 def load_bundle(bundle_dir: str) -> cno.CnoModel:
@@ -231,15 +255,15 @@ def load_bundle(bundle_dir: str) -> cno.CnoModel:
 
 
 def open_bundle(bundle_dir: str) -> tuple:
-    """``(manifest, model)`` of a bundle directory, each file hashed once.
+    """``(manifest, model)`` of a bundle directory, each file read and hashed
+    once.
 
     The bundle must pass :func:`verify_bundle`, its ``model.json`` must
     describe its weave, and the weave must pass the successor gate that
     construction ran; anything else raises IntegrityError."""
-    manifest = verify_bundle(bundle_dir)
-    with open(os.path.join(bundle_dir, MODEL_FILE), "rb") as fh:
-        meta = _parse_json(fh.read(), MODEL_FILE)
-    wmodel = load_weave(os.path.join(bundle_dir, WEAVE_FILE))
+    manifest, contents = verify_bundle(bundle_dir)
+    meta = _parse_json(contents.pop(MODEL_FILE), MODEL_FILE)
+    wmodel = _parse_weave(contents[WEAVE_FILE], os.path.join(bundle_dir, WEAVE_FILE))
     # a model.json that disagrees with its weave fails CnoModel's own checks
     with _fields_of(MODEL_FILE):
         model = cno.CnoModel(

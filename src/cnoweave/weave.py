@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -60,6 +60,10 @@ class Packing:
     points: np.ndarray  # (count, Q)
 
     def __post_init__(self):
+        if not (math.isfinite(self.R) and 0 < self.delta < self.R):
+            raise InvalidArgumentError(
+                f"need a finite R and 0 < delta < R, got R={self.R}, delta={self.delta}"
+            )
         pts = np.asarray(self.points, dtype=np.float64)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[1] != self.Q:
@@ -198,13 +202,10 @@ def aspect_ratio(points) -> float:
 
 
 class Memorizer(NamedTuple):
-    """An exact-interpolation network plus its width accounting."""
+    """An exact-interpolation network."""
 
     spec: net.NetSpec
     theta: np.ndarray
-    width: int
-    width_bound: int
-    within_bound: bool
 
 
 def _projection_direction(xs: np.ndarray, rng) -> np.ndarray:
@@ -289,14 +290,10 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     N, n = xs.shape
     d = ys.shape[1]
 
-    # reported width budget: n (N - 1) + max{d, 12}
-    width_bound = n * (N - 1) + max(d, 12)
-
     if N == 1:
         spec = net.NetSpec((n, d), "relu")
         theta = net.pack(spec, [(np.zeros((d, n)), np.zeros(n), 0.0)], ys[0])
-        return Memorizer(spec, theta, width=d, width_bound=width_bound,
-                         within_bound=d <= width_bound)
+        return Memorizer(spec, theta)
 
     # the search is also the distinctness check: equal anchors give a zero
     # (or rounding-level) gap on every projection, never above 1e-12 of the span
@@ -323,9 +320,8 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     # none: the pairing block is (N-1) x 2(N-1), so it pays only for wide
     # targets, d > 2(N-1) + 1 + 1/(N-1); the smaller layout is kept
     K = N - 1
-    width = 2 * K
-    paired = net.NetSpec((n, 1, width, K, d), "relu")
-    signed = net.NetSpec((n, 1, width, d), "relu")
+    paired = net.NetSpec((n, 1, 2 * K, K, d), "relu")
+    signed = net.NetSpec((n, 1, 2 * K, d), "relu")
     spec = paired if net.param_count(paired) < net.param_count(signed) else signed
     # every block is written through views into theta, so no model-sized
     # array but theta is built
@@ -358,24 +354,26 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
     if spec is signed:
         np.negative(slopes, out=A2[:, 1::2])
     c[:] = ys[order[0]]
-    return Memorizer(spec, theta, width=width, width_bound=width_bound,
-                     within_bound=width <= width_bound)
+    return Memorizer(spec, theta)
 
 
 @dataclass(frozen=True)
 class WeaveModel:
-    """Latent codes, the memorizing hypernetwork, and the scaling readout."""
+    """Latent codes, the memorizing hypernetwork, and the scaling readout.
+
+    ``packing`` is not stored: it is the codes' last Q coordinates, with R
+    and delta, and is validated as a :class:`Packing` at construction."""
 
     Q: int
     P: int
     M_T: float
     delta: float
     R: float
-    packing: Packing
     codes: np.ndarray  # (T, P + Q)
     hyper_spec: net.NetSpec
     hyper_theta: np.ndarray
     seed: int
+    packing: Packing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = self.P + self.Q
@@ -385,6 +383,10 @@ class WeaveModel:
             raise InvalidArgumentError(
                 f"hypernetwork dims {self.hyper_spec.dims} must map R^{dim} to R^{dim}"
             )
+        if not (math.isfinite(self.M_T) and self.M_T >= 1):
+            raise InvalidArgumentError(f"M_T must be finite and at least 1, got {self.M_T}")
+        object.__setattr__(self, "packing",
+                           Packing(self.Q, self.R, self.delta, self.codes[:, self.P:]))
 
     @property
     def T(self):
@@ -456,7 +458,7 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
     pairs = list(zip(codes[:-1], codes[1:])) if T > 1 else [(codes[0], codes[0])]
     mem = memorize(pairs, seed=seed)
     return WeaveModel(
-        Q=Q, P=P, M_T=M_T, delta=delta, R=R, packing=packing, codes=codes,
+        Q=Q, P=P, M_T=M_T, delta=delta, R=R, codes=codes,
         hyper_spec=mem.spec, hyper_theta=mem.theta, seed=seed,
     )
 

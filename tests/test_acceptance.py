@@ -23,7 +23,8 @@ def random_theta(spec, rng):
     """Random parameters respecting the all-zero-slope invariant of relu specs."""
     theta = rng.standard_normal(net.param_count(spec))
     if spec.activation == "relu":
-        theta[net._alpha_indices(spec)] = 0.0
+        for _, _, alpha in net._blocks(spec, theta)[0]:
+            alpha[:] = 0.0
     return theta
 
 

@@ -351,17 +351,25 @@ class TestPipeline:
         ) / max(1.0, float(np.max(np.abs(stored))))
 
     def test_inspect_hashes_each_file_once(self, bundle, capsys, monkeypatch):
+        # each bundle file is read once, and the bytes read are the bytes hashed
         _, out = bundle
-        hashed = []
-        real = serial.sha256_file
+        read, hashed = [], []
+        real_read, real_hash = serial._read_file, serial.sha256_bytes
 
-        def counted(path):
-            hashed.append(os.path.basename(path))
-            return real(path)
+        def counted_read(path):
+            read.append((os.path.basename(path), real_read(path)))
+            return read[-1][1]
 
-        monkeypatch.setattr(serial, "sha256_file", counted)
+        def counted_hash(data):
+            hashed.append(data)
+            return real_hash(data)
+
+        monkeypatch.setattr(serial, "_read_file", counted_read)
+        monkeypatch.setattr(serial, "sha256_bytes", counted_hash)
         assert run(["inspect", str(out / "bundle")]) == 0
-        assert sorted(hashed) == sorted(serial.BUNDLE_FILES)
+        assert sorted(name for name, _ in read) == sorted(serial.BUNDLE_FILES)
+        assert len(hashed) == len(read)
+        assert all(h is data for h, (_, data) in zip(hashed, read))
 
     def test_inspect_runs_the_successor_forward_once(self, bundle, capsys, monkeypatch):
         # the load gate's batched forward over the codes is the one inspect
@@ -445,20 +453,73 @@ def test_drifted_weave_is_5(bundle, tmp_path, capsys):
     assert capsys.readouterr().err.count("integrity failure: the weave misses window") == 3
 
 
+def rewrite_weave(bundle, edit):
+    """Apply ``edit(header, points, codes)`` to the stored weave.bin of a
+    bundle directory, in place, keep model.json's delta equal to the
+    header's, and re-hash the manifest."""
+    path = bundle / "weave.bin"
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    h = json.loads(header)
+    T, P, Q = h["T"], h["P"], h["Q"]
+    floats = np.frombuffer(payload, "<f8").copy()
+    points = floats[: T * Q].reshape(T, Q)
+    codes = floats[T * Q : T * (P + 2 * Q)].reshape(T, P + Q)
+    edit(h, points, codes)
+    path.write_bytes(b"\n".join([magic, json.dumps(h).encode(), floats.tobytes()]))
+    meta = json.loads((bundle / "model.json").read_text())
+    (bundle / "model.json").write_text(json.dumps({**meta, "delta": h["delta"]}))
+    serial.write_manifest(str(bundle), {}, serial.BUNDLE_FILES, {})
+
+
 def test_nan_packing_point_is_5(bundle, tmp_path, capsys):
-    # a re-hashed weave.bin whose first packing point has a NaN coordinate
+    # a re-hashed weave.bin whose first code has a NaN packing coordinate, in
+    # the codes and in the points block alike
     _, out = bundle
     tampered = tmp_path / "bundle"
     shutil.copytree(out / "bundle", tampered)
-    w = serial.load_weave(str(tampered / "weave.bin"))
-    points = w.packing.points.copy()
-    points[0, 0] = np.nan
-    packing = object.__new__(weave.Packing)  # skips the check under test
-    packing.__dict__.update(vars(w.packing), points=points)
-    serial.save_weave(str(tampered / "weave.bin"), dataclasses.replace(w, packing=packing))
-    serial.write_manifest(str(tampered), {}, serial.BUNDLE_FILES, {})
+
+    def nan_point(h, points, codes):
+        points[0, 0] = codes[0, h["P"]] = np.nan
+
+    rewrite_weave(tampered, nan_point)
     assert run(["inspect", str(tampered)]) == 5
     assert "packing points must be finite" in capsys.readouterr().err
+
+
+def _set(key, value):
+    def edit(h, points, codes):
+        h[key] = value
+    return edit
+
+
+def _scale_points(h, points, codes):
+    points *= 0.9  # a packing still, but not the codes' own
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("M_T", -1.0), "M_T must be finite and at least 1"),
+    (_set("M_T", float("nan")), "M_T must be finite and at least 1"),
+    (_set("delta", -0.5), "0 < delta < R"),
+    (_set("delta", 0.0), "0 < delta < R"),
+    (_set("delta", 1.0), "0 < delta < R"),
+    (_set("R", float("inf")), "finite R"),
+    (_set("R", float("nan")), "finite R"),
+    (_scale_points, "the points block differs from the codes' packing coordinates"),
+], ids=["M_T-negative", "M_T-nan", "delta-negative", "delta-zero", "delta-is-R",
+        "R-inf", "R-nan", "points-rescaled"])
+def test_rehashed_weave_that_fails_a_load_check_is_5(bundle, tmp_path, capsys,
+                                                     edit, message):
+    _, out = bundle
+    tampered = tmp_path / "bundle"
+    shutil.copytree(out / "bundle", tampered)
+    rewrite_weave(tampered, edit)
+    cfg = write_cfg(tmp_path, "p.yaml", {"bundle": str(tampered),
+                                         "path": [[0.5], [0.25], [0.75]],
+                                         "out_dir": str(tmp_path / "o")})
+    assert run(["inspect", str(tampered)]) == 5
+    assert run(["predict", cfg]) == 5
+    err = capsys.readouterr().err
+    assert err.count("integrity failure") == 2 and message in err
 
 
 class TestWeaveTest:

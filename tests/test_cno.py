@@ -352,7 +352,9 @@ class TestLayerMajorServing:
         spec = net.NetSpec(dims)
         thetas = RNG(21).standard_normal((T, net.param_count(spec)))
         # slopes outside [0, 1] take the alpha * h branch of max(h, alpha * h)
-        thetas[:, net._alpha_indices(spec)] = np.resize([0.0, 0.3, -0.7, 1.6], (T, 3))
+        slopes = np.resize([0.0, 0.3, -0.7, 1.6], (T, 3))
+        for j, (_, _, alpha) in enumerate(net._blocks(spec, thetas)[0]):
+            alpha[:, 0] = slopes[:, j]
         return woven_model(thetas, dims, M=6, step_dim=3)
 
     @pytest.mark.parametrize("n_paths", [1, 2, 7])
@@ -396,9 +398,14 @@ class TestLayerMajorServing:
         base = model.filters[0].base
         assert base.shape == thetas.shape and not base.flags.writeable
         assert all(f.base is base and not f.flags.writeable for f in model.filters)
+        # the per-layer views across the steps are the decoded array's blocks:
+        # views that keep its step axis and, being read-only, were not copied
         layers, c = model._step_layers
+        assert [(A.shape, b.shape, alpha.shape) for A, b, alpha in layers] == [
+            ((T, d1, d0), (T, d0), (T, 1)) for d0, d1 in zip(dims, dims[1:])]
+        assert c.shape == (T, dims[-1])
         views = [c] + [v for layer in layers for v in layer]
-        assert all(np.shares_memory(v, base) for v in views)
+        assert all(np.shares_memory(v, base) and not v.flags.writeable for v in views)
 
 
 class TestPredictPaths:

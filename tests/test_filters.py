@@ -41,7 +41,8 @@ class TestFilterForward:
         space = spaces.euclidean(3)
         spec = net.NetSpec((3, 5, 3), "relu")
         theta = rng.standard_normal(net.param_count(spec))
-        theta[net._alpha_indices(spec)] = 0.0
+        for _, _, alpha in net._blocks(spec, theta)[0]:
+            alpha[:] = 0.0
         f = filters.NeuralFilter(space, space, 3, 3, spec, theta)
         for _ in range(20):
             x = rng.standard_normal(3)
@@ -285,7 +286,8 @@ class TestErrorDecomposition:
         for _ in range(10):
             spec = net.NetSpec((2, 3, 3), "relu")
             theta = rng.standard_normal(net.param_count(spec))
-            theta[net._alpha_indices(spec)] = 0.0
+            for _, _, alpha in net._blocks(spec, theta)[0]:
+                alpha[:] = 0.0
             f = filters.NeuralFilter(space, spaces.euclidean(4), 2, 3, spec, theta)
             w = rng.standard_normal((4, 4))
             target = lambda x, w=w: np.tanh(w @ x)

@@ -43,6 +43,21 @@ class TestParamCount:
         total = sum(A.size + b.size + 1 for A, b, _ in layers) + c.size
         assert total == len(theta)
 
+    def test_blocks_of_a_stack_are_each_rows_blocks(self):
+        # a (T, P) stack's blocks keep the step axis, and writing one writes
+        # the stack
+        rng = RNG(4)
+        spec = random_spec(rng)
+        stack = rng.standard_normal((3, net.param_count(spec)))
+        layers, c = net._blocks(spec, stack)
+        for t, row in enumerate(stack):
+            row_layers, row_c = net._blocks(spec, row)
+            for blocks, row_blocks in zip(layers, row_layers):
+                assert all(np.array_equal(v[t], r) for v, r in zip(blocks, row_blocks))
+            assert np.array_equal(c[t], row_c)
+        layers[-1][2][1] = 7.0
+        assert net._blocks(spec, stack[1])[0][-1][2] == 7.0
+
 
 class TestForward:
     def test_frozen_prelu_example(self):
@@ -220,17 +235,21 @@ class TestTrain:
         theta0 = net.init_params(spec, 4)
         resid = net.forward(spec, theta0, X) - Y
         step = sum(net.grad(spec, theta0, x, 2.0 * r / n) for x, r in zip(X, resid))
-        slopes = net._alpha_indices(spec)
+
+        def slopes(v):
+            return [alpha for _, _, alpha in net._blocks(spec, v)[0]]
+
         if activation == "relu":
-            step[slopes] = 0.0
+            for alpha in slopes(step):
+                alpha[:] = 0.0
         theta, trace = net.train(spec, (X, Y), {"epochs": 1, "batch": n, "lr": lr, "seed": 4})
         expect = theta0 - lr * step
         assert np.max(np.abs(theta - expect)) <= 1e-12 * np.max(np.abs(expect))
         assert trace == [pytest.approx(float(np.mean(np.sum(resid * resid, axis=1))))]
         if activation == "relu":
-            assert np.all(theta[slopes] == 0.0)
+            assert all(alpha == 0.0 for alpha in slopes(theta))
         else:
-            assert np.all(theta[slopes] != theta0[slopes])
+            assert all(a != a0 for a, a0 in zip(slopes(theta), slopes(theta0)))
 
     def test_one_minibatch_epoch_follows_the_seeded_permutation(self):
         rng = RNG(14)

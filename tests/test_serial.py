@@ -163,8 +163,8 @@ class TestBundle:
         model = small_model()
         out = tmp_path / "bundle"
         serial.save_bundle(str(out), model, config={"seed": 0}, timings={"s": 1.0})
-        manifest = serial.verify_bundle(str(out))
-        assert set(manifest["files"]) == {"weave.bin", "model.json"}
+        manifest, contents = serial.verify_bundle(str(out))
+        assert set(manifest["files"]) == set(contents) == {"weave.bin", "model.json"}
         loaded = serial.load_bundle(str(out))
         rng = RNG(3)
         for _ in range(10):
@@ -192,8 +192,8 @@ class TestBundle:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         serial.save_bundle(str(out1), m1, config={"x": 1})
         serial.save_bundle(str(out2), m2, config={"x": 1})
-        f1 = serial.verify_bundle(str(out1))["files"]
-        f2 = serial.verify_bundle(str(out2))["files"]
+        f1 = serial.verify_bundle(str(out1))[0]["files"]
+        f2 = serial.verify_bundle(str(out2))[0]["files"]
         assert f1 == f2  # identical configs give identical artifact hashes
 
     def test_manifest_must_list_exactly_the_bundle_files(self, tmp_path):

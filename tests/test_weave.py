@@ -131,8 +131,7 @@ class TestMemorize:
         rng = RNG(2)
         pairs = [(rng.standard_normal(3), rng.standard_normal(2)) for _ in range(6)]
         m = weave.memorize(pairs)
-        assert m.width == max(m.spec.dims[1:-1])
-        assert m.width_bound == 3 * 5 + 12
+        assert max(m.spec.dims[1:-1]) == 2 * 5 <= 3 * 5 + 12
 
     @pytest.mark.parametrize("N", [2, 3, 9])
     def test_width_one_projection_layout(self, N):
@@ -144,7 +143,7 @@ class TestMemorize:
             pairs = [(rng.standard_normal(4), rng.standard_normal(d)) for _ in range(N)]
             m = weave.memorize(pairs, seed=0)
             assert m.spec.dims == dims
-            assert m.width == max(m.spec.dims[1:-1]) == 2 * K
+            assert max(m.spec.dims[1:-1]) == 2 * K
 
     @pytest.mark.parametrize("N, n, d", [(2, 4, 3), (2, 4, 5), (9, 5, 2), (9, 5, 18),
                                          (9, 5, 19), (31, 40, 40), (31, 40, 62),
