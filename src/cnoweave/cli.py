@@ -116,12 +116,6 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _hidden_width(w: weave.WeaveModel) -> int:
-    """The hypernetwork's widest hidden layer (its output width if it has none)."""
-    dims = w.hyper_spec.dims
-    return max(dims[1:-1]) if w.hyper_spec.depth > 1 else dims[-1]
-
-
 def _regularity_from(cfg: dict):
     reg = _get(cfg, "regularity", dict)
     kind = _get(reg, "kind", str, where="regularity.")
@@ -279,22 +273,15 @@ def cmd_weave_test(cfg: dict):
     w = weave.build_weave(thetas, Q=Q, delta=delta, seed=seed)
     recovered = weave.rollout(w, T)
     scale = max(1.0, float(np.abs(thetas).max()))
-    max_rel = max(
-        float(np.max(np.abs(recovered[t] - thetas[t]))) / scale for t in range(T)
-    )
     result = {
-        "P": P, "Q": Q, "T": T, "delta": delta, "M_T": w.M_T,
-        "max_relative_rollout_error": max_rel,
-        "successor_residual": float(w.successor_residuals.max(initial=0.0)),
-        "packing_min_separation": w.packing.min_separation(),
-        "aspect_ratio": weave.aspect_ratio(w.codes),
-        "aspect_bound": (1 + 4 * w.R ** 2) ** 0.5 / delta,
-        "table2": weave.table2_report(P, Q, delta, T, measured_width=_hidden_width(w)),
+        "P": P, "Q": Q, "T": T, "delta": delta,
+        "max_relative_rollout_error": float(np.max(np.abs(recovered - thetas))) / scale,
+        **_weave_health(w, recovered),
     }
     # construct_cno's and load_bundle's gate; a miss still writes the report
     failure = None
     try:
-        cno._check_successors(w)
+        w.check_successors()
     except IntegrityError as e:
         failure = e
     return {"weave_test.json": result}, failure
@@ -370,21 +357,34 @@ def cmd_compare_rnn(cfg: dict):
     return {"tradeoff.csv": report.to_csv(), "tradeoff_summary.json": summary}, None
 
 
-def _fidelity(model: cno.CnoModel) -> dict:
-    """The weave's measured fidelity: the successor gate's statistic, and the
-    decoded filters against the stored codes, both relative to their scale."""
-    w = model.weave_model
+def _weave_health(w: weave.WeaveModel, decoded: np.ndarray) -> dict:
+    """The weave's health report, from its (T, P) rollout ``decoded``: M_T,
+    the successor gate's statistic, the decoded parameters against the
+    readout of the stored codes over their scale, the packing's separation
+    and the codes' aspect ratio next to its bound (both null for a single
+    code), and the hypernetwork's size next to the Table-2 width bound."""
     stored = w.M_T * w.codes[:, : w.P]  # each code's readout
-    recovery = np.max(np.abs(np.stack(model.filters) - stored))
+    recovery = np.max(np.abs(decoded - stored))
+    dims = w.hyper_spec.dims
+    several = w.T > 1
     return {
+        "M_T": w.M_T,
         "successor_residual": float(w.successor_residuals.max(initial=0.0)),
         "recovery_error": float(recovery) / max(1.0, float(np.max(np.abs(stored)))),
+        "packing_min_separation": w.packing.min_separation() if several else None,
+        "aspect_ratio": weave.aspect_ratio(w.codes) if several else None,
+        "aspect_bound": (1 + 4 * w.R ** 2) ** 0.5 / w.delta,
+        "hyper_dims": list(dims),
+        "hyper_params": net.param_count(w.hyper_spec),
+        # the widest hidden layer, or the output width if there is none
+        "table2": weave.table2_report(
+            w.P, w.Q, w.delta, w.T,
+            measured_width=max(dims[1:-1]) if w.hyper_spec.depth > 1 else dims[-1]),
     }
 
 
 def cmd_inspect(bundle_dir: str) -> dict:
     manifest, model = serial.open_bundle(bundle_dir)
-    w = model.weave_model
     return {
         "schema_version": SCHEMA_VERSION,
         "synced_dims": list(model.synced_spec.dims),
@@ -392,14 +392,8 @@ def cmd_inspect(bundle_dir: str) -> dict:
         "Q": model.Q,
         "delta": model.delta,
         "I_delta_Q": weave.viable_horizon(model.Q, model.delta),
-        "T": w.T,
-        "M_T": w.M_T,
-        "packing_min_separation": w.packing.min_separation(),
-        "hyper_dims": list(w.hyper_spec.dims),
-        "hyper_params": net.param_count(w.hyper_spec),
-        **_fidelity(model),
-        "table2": weave.table2_report(w.P, w.Q, w.delta, w.T,
-                                      measured_width=_hidden_width(w)),
+        "T": model.horizon,
+        **_weave_health(model.weave_model, model._thetas),
         "config_hash": manifest["config_hash"],
     }
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import net, spaces, weave
-from .errors import IntegrityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "TimeGrid",
@@ -294,7 +294,7 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
 
     wmodel = weave.build_weave(np.stack([r[0] for r in results]), Q=Q, delta=delta,
                                seed=seed)
-    _check_successors(wmodel)
+    wmodel.check_successors()
     reports = [r[1] for r in results]
     # the slopes live in theta, so a PReLU spec runs the ReLU-trained filters as trained
     model = CnoModel(
@@ -303,20 +303,6 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
         reports=reports, Q=Q, delta=delta, seed=seed,
     )
     return model, reports
-
-
-def _check_successors(w: weave.WeaveModel):
-    """Raise IntegrityError unless the hypernetwork maps every latent code to
-    the next one within 1e-9 of the codes' scale."""
-    residuals = w.successor_residuals
-    bad = np.flatnonzero(~(residuals <= 1e-9))  # a NaN miss is a miss
-    if bad.size:
-        t = int(bad[0])
-        raise IntegrityError(
-            f"the weave misses window {t + 1}: its hypernetwork maps window {t}'s "
-            f"code {residuals[t]:.3g} of the codes' scale away from window {t + 1}'s "
-            f"(tolerance 1e-9)"
-        )
 
 
 def predict_paths(model: CnoModel, paths, horizon: int = None) -> np.ndarray:

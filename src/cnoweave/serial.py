@@ -280,5 +280,5 @@ def open_bundle(bundle_dir: str) -> tuple:
             seed=meta["seed"],
         )
     # a weave.bin rewritten and re-hashed must still memorize its codes
-    cno._check_successors(wmodel)
+    wmodel.check_successors()
     return manifest, model

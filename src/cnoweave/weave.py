@@ -22,7 +22,6 @@ layer repeats the projection on every hidden row, load and decode unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net
-from .errors import BudgetOverflowError, InvalidArgumentError, PackingInfeasibleError
+from .errors import (BudgetOverflowError, IntegrityError, InvalidArgumentError,
+                     PackingInfeasibleError)
 
 __all__ = [
     "Packing",
@@ -46,8 +46,9 @@ __all__ = [
     "viable_horizon",
 ]
 
-_PACK_RESTARTS = 8  # seeded random pools pack_ball tries before the lattice
+_PACK_RESTARTS = 8  # seeded random pools the greedy packing tries
 _SEARCH_TRIES = 256  # random directions memorize scores for its projection
+SUCCESSOR_TOLERANCE = 1e-9  # a code's largest one-step miss, over the codes' scale
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class Packing:
     R: float
     delta: float
     points: np.ndarray  # (count, Q)
+    # measured once, by the validation, for min_separation to report
+    _separation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and 0 < self.delta < self.R):
@@ -73,21 +76,20 @@ class Packing:
         norms = np.linalg.norm(pts, axis=1)
         if np.any(norms > self.R + 1e-12):
             raise InvalidArgumentError("packing point outside the ball")
-        if len(pts) > 1:
-            sep, _ = _distance_extremes(pts)
-            if sep <= self.delta:
-                raise InvalidArgumentError(
-                    f"packing separation {sep:.6g} not strictly above delta={self.delta}"
-                )
+        sep = _distance_extremes(pts)[0] if len(pts) > 1 else math.inf
+        if sep <= self.delta:
+            raise InvalidArgumentError(
+                f"packing separation {sep:.6g} not strictly above delta={self.delta}"
+            )
+        object.__setattr__(self, "_separation", sep)
 
     @property
     def count(self):
         return len(self.points)
 
     def min_separation(self) -> float:
-        if len(self.points) < 2:
-            return math.inf
-        return _distance_extremes(self.points)[0]
+        """The least distance between two points (inf for fewer than two)."""
+        return self._separation
 
 
 def _distance_extremes(pts: np.ndarray) -> tuple:
@@ -118,72 +120,45 @@ def _greedy_farthest(pool: np.ndarray, delta: float, T_needed: int, start: int):
     return np.array(chosen)
 
 
-def _lattice_points(Q: int, R: float, delta: float, T_needed: int):
-    """Axis-aligned lattice with spacing just above delta, clipped to the ball.
-
-    Neighboring lattice points are exactly one spacing apart, so any subset is
-    automatically a valid packing; enumeration stops at T_needed points.
-    """
-    spacing = delta * (1.0 + 1e-9)
-    per_axis = int(math.floor(2.0 * R / spacing)) + 1
-    if per_axis < 1 or per_axis ** Q > 4_000_000:
-        return None
-    axis = -R + spacing * np.arange(per_axis)
-    # visit small-magnitude coordinates first so points concentrate in the ball
-    axis = axis[np.argsort(np.abs(axis), kind="stable")]
-    out = []
-    r2 = (R + 1e-15) ** 2
-    for combo in itertools.product(axis, repeat=Q):
-        p = np.array(combo)
-        if float(p @ p) <= r2:
-            out.append(p)
-            if len(out) >= T_needed:
-                break
-    return np.array(out) if out else None
-
-
-def pack_ball(Q: int, R: float, delta: float, T_needed: int, seed: int = 0) -> Packing:
-    """Construct a delta-packing of T_needed points in the radius-R ball.
-
-    Greedy farthest-point passes over seeded random pools come first; if they
-    fall short, a deterministic lattice fallback is tried.  Fails cleanly with
-    the best achieved count when T_needed is unreachable.
-    """
+def _pack_points(Q: int, R: float, delta: float, T: int, seed: int) -> np.ndarray:
+    """T points in the radius-R ball, pairwise more than delta apart, from
+    greedy farthest-point passes over seeded random pools; unchecked, since
+    :class:`Packing` validates them.  Fails cleanly with the best achieved
+    count when T is unreachable."""
     if not 0 < delta < R:
         raise InvalidArgumentError(f"need 0 < delta < R, got delta={delta}, R={R}")
-    if T_needed < 1:
-        raise InvalidArgumentError(f"T_needed must be >= 1, got {T_needed}")
+    if T < 1:
+        raise InvalidArgumentError(f"T_needed must be >= 1, got {T}")
     # covering-style upper bound on any packing of the ball
     log_cap = Q * math.log(3.0 * R / delta)
-    if log_cap < 50 and T_needed > math.exp(log_cap):
+    if log_cap < 50 and T > math.exp(log_cap):
         raise PackingInfeasibleError(
-            f"T_needed={T_needed} exceeds the packing upper bound "
-            f"{math.exp(log_cap):.3g}",
+            f"T_needed={T} exceeds the packing upper bound {math.exp(log_cap):.3g}",
             achieved=0,
         )
     rng = np.random.default_rng(seed)
-    best = np.zeros((0, Q))
-    pool_size = min(max(4096, 64 * T_needed), 40_000)
+    achieved = 0
+    pool_size = min(max(4096, 64 * T), 40_000)
     for _ in range(_PACK_RESTARTS):
         raw = rng.standard_normal((pool_size, Q))
         radii = rng.random(pool_size) ** (1.0 / Q)
         pool = raw / np.linalg.norm(raw, axis=1, keepdims=True) * (R * radii)[:, None]
         start = int(rng.integers(pool_size))
-        chosen = _greedy_farthest(pool, delta, T_needed, start)
-        if len(chosen) > len(best):
-            best = chosen
-        if len(best) >= T_needed:
-            return Packing(Q, R, delta, best[:T_needed])
-    lattice = _lattice_points(Q, R, delta, T_needed)
-    if lattice is not None and len(lattice) > len(best):
-        best = lattice
-    if len(best) >= T_needed:
-        return Packing(Q, R, delta, best[:T_needed])
+        chosen = _greedy_farthest(pool, delta, T, start)
+        if len(chosen) == T:
+            return chosen
+        achieved = max(achieved, len(chosen))
     raise PackingInfeasibleError(
-        f"could not pack {T_needed} points (Q={Q}, R={R}, delta={delta}); "
-        f"achieved {len(best)}",
-        achieved=len(best),
+        f"could not pack {T} points (Q={Q}, R={R}, delta={delta}); achieved {achieved}",
+        achieved=achieved,
     )
+
+
+def pack_ball(Q: int, R: float, delta: float, T_needed: int, seed: int = 0) -> Packing:
+    """Construct a delta-packing of T_needed points in the radius-R ball from
+    greedy farthest-point passes over seeded random pools.  Fails cleanly
+    with the best achieved count when T_needed is unreachable."""
+    return Packing(Q, R, delta, _pack_points(Q, R, delta, T_needed, seed))
 
 
 def aspect_ratio(points) -> float:
@@ -415,6 +390,20 @@ class WeaveModel:
         miss.flags.writeable = False
         return miss
 
+    def check_successors(self):
+        """Raise IntegrityError unless the hypernetwork maps every code to the
+        next one within SUCCESSOR_TOLERANCE of the codes' scale: the gate that
+        construction, load and ``weave-test`` run."""
+        residuals = self.successor_residuals
+        bad = np.flatnonzero(~(residuals <= SUCCESSOR_TOLERANCE))  # a NaN miss is a miss
+        if bad.size:
+            t = int(bad[0])
+            raise IntegrityError(
+                f"the weave misses window {t + 1}: its hypernetwork maps window {t}'s "
+                f"code {residuals[t]:.3g} of the codes' scale away from window {t + 1}'s "
+                f"(tolerance {SUCCESSOR_TOLERANCE:g})"
+            )
+
     @property
     def z0(self):
         return self.codes[0]
@@ -436,10 +425,12 @@ def viable_horizon(Q: int, delta: float) -> int:
                                   log_value=-Q * math.log(delta)) from e
 
 
-def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> WeaveModel:
+def build_weave(thetas, Q: int, delta: float, seed: int = 0) -> WeaveModel:
     """Assemble latent codes for a parameter sequence and memorize successors.
-    A single code has no successor, so it memorizes z0 -> z0: the constant
-    net ``(P+Q, P+Q)``, which a one-step rollout never evaluates."""
+    The packing block is a delta-packing of the unit ball, validated once, by
+    the returned model.  A single code has no successor, so it memorizes
+    z0 -> z0: the constant net ``(P+Q, P+Q)``, which a one-step rollout never
+    evaluates."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or len(thetas) == 0:
         raise InvalidArgumentError("thetas must be a nonempty (T, P) array")
@@ -453,12 +444,11 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0, R: float = 1.0) -> 
         )
     m_t = _distance_extremes(thetas)[1] if T > 1 else 0.0
     M_T = max(1.0, m_t)
-    packing = pack_ball(Q, R, delta, T, seed=seed)
-    codes = np.hstack([thetas / M_T, packing.points[:T]])
+    codes = np.hstack([thetas / M_T, _pack_points(Q, 1.0, delta, T, seed)])
     pairs = list(zip(codes[:-1], codes[1:])) if T > 1 else [(codes[0], codes[0])]
     mem = memorize(pairs, seed=seed)
     return WeaveModel(
-        Q=Q, P=P, M_T=M_T, delta=delta, R=R, codes=codes,
+        Q=Q, P=P, M_T=M_T, delta=delta, R=1.0, codes=codes,
         hyper_spec=mem.spec, hyper_theta=mem.theta, seed=seed,
     )
 

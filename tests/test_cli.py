@@ -27,6 +27,17 @@ def run(args):
     return cli.main(args)
 
 
+def strict_json(text):
+    """``json.loads`` that rejects Infinity and NaN, which the default accepts."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+HEALTH_FIELDS = {"M_T", "successor_residual", "recovery_error", "packing_min_separation",
+                 "aspect_ratio", "aspect_bound", "hyper_dims", "hyper_params", "table2"}
+
+
 class TestBudget:
     def test_holder_example(self, tmp_path):
         out = tmp_path / "out"
@@ -332,8 +343,11 @@ class TestPipeline:
     def test_inspect(self, bundle, capsys):
         tmp, out = bundle
         assert run(["inspect", str(out / "bundle")]) == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = strict_json(capsys.readouterr().out)
         assert summary["T"] == 3
+        assert HEALTH_FIELDS <= set(summary)
+        assert summary["packing_min_separation"] > summary["delta"]
+        assert 1.0 <= summary["aspect_ratio"] <= summary["aspect_bound"]
         assert summary["Q"] == 4
         # P + Q = 53 + 4 code coordinates; 3 codes: 2 memorized pairs, 2 knot units
         assert summary["P"] == 53
@@ -395,9 +409,9 @@ class TestPipeline:
         w = model.weave_model
         drifted = dataclasses.replace(
             model, weave_model=dataclasses.replace(w, hyper_theta=w.hyper_theta + 1e-6))
-        fidelity = cli._fidelity(drifted)
-        assert fidelity["successor_residual"] > 1e-9
-        assert fidelity["recovery_error"] > 1e-6
+        health = cli._weave_health(drifted.weave_model, drifted._thetas)
+        assert health["successor_residual"] > 1e-9
+        assert health["recovery_error"] > 1e-6
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_predict_of_a_non_finite_path_is_2(self, bundle, capsys, bad):
@@ -522,7 +536,34 @@ def test_rehashed_weave_that_fails_a_load_check_is_5(bundle, tmp_path, capsys,
     assert err.count("integrity failure") == 2 and message in err
 
 
+def test_horizon_1_bundle_inspects_as_strict_json(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "c.yaml", {
+        "T": 1, "M": 1, "n_train": 32, "hidden": [4], "eps_D": 0.5, "eps_A": 0.5,
+        "train": {"epochs": 5}, "out_dir": str(out), "seed": 0,
+    })
+    assert run(["construct", cfg]) == 0
+    capsys.readouterr()
+    assert run(["inspect", str(out / "bundle")]) == 0
+    summary = strict_json(capsys.readouterr().out)
+    assert summary["T"] == 1 and HEALTH_FIELDS <= set(summary)
+    # a single code has no pairwise distance
+    assert summary["packing_min_separation"] is None
+    assert summary["aspect_ratio"] is None
+
+
 class TestWeaveTest:
+    def test_horizon_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "w.yaml", {"T": 1, "out_dir": str(out)})
+        assert run(["weave-test", cfg]) == 0
+        data = strict_json((out / "weave_test.json").read_text())
+        assert strict_json(capsys.readouterr().out) == data
+        assert HEALTH_FIELDS <= set(data)
+        assert data["packing_min_separation"] is None and data["aspect_ratio"] is None
+        assert data["max_relative_rollout_error"] == 0.0
+        assert data["successor_residual"] == 0.0
+
     def test_report_fields(self, tmp_path, capsys):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, "w.yaml", {
@@ -530,7 +571,9 @@ class TestWeaveTest:
         })
         assert run(["weave-test", cfg]) == 0
         data = json.loads((out / "weave_test.json").read_text())
+        assert HEALTH_FIELDS <= set(data)
         assert data["max_relative_rollout_error"] <= 1e-6
+        assert data["recovery_error"] <= 1e-6
         assert data["packing_min_separation"] > 0.5
         assert data["aspect_ratio"] <= data["aspect_bound"]
         assert data["successor_residual"] <= 1e-9

@@ -42,6 +42,16 @@ class TestPackBall:
             assert np.all(norms <= 1.0 + 1e-12)
             assert p.min_separation() > 0.5
 
+    @pytest.mark.parametrize("delta", [0.5, 0.7, 0.9])
+    def test_greedy_passes_reach_the_viable_horizon(self, delta):
+        # no lattice or other fallback: the seeded greedy passes alone pack
+        # floor(delta^-Q) points
+        for Q in range(1, 7):
+            T = weave.viable_horizon(Q, delta)
+            p = weave.pack_ball(Q, 1.0, delta, T, seed=0)
+            assert p.count == T
+            assert T < 2 or pdist(p.points).min() > delta
+
     def test_bad_delta_rejected(self):
         with pytest.raises(InvalidArgumentError):
             weave.pack_ball(2, 1.0, 1.5, 2)
@@ -300,6 +310,21 @@ class TestBuildWeave:
         assert np.array_equal(w2.hyper_theta, w.hyper_theta)
         assert np.array_equal(w2.codes, w.codes)
         assert np.array_equal(weave.rollout(w2, 1)[0], [1.0, -2.0, 3.0])
+
+    def test_packing_validated_once_per_build(self, monkeypatch):
+        # one distance pass over the thetas for M_T, and one over the (T, Q)
+        # packing points, by the model's own validation
+        real = weave._distance_extremes
+        shapes = []
+
+        def counted(pts):
+            shapes.append(pts.shape)
+            return real(pts)
+
+        monkeypatch.setattr(weave, "_distance_extremes", counted)
+        w = weave.build_weave(RNG(4).standard_normal((12, 7)), Q=4, delta=0.5)
+        assert w.packing.min_separation() > 0.5  # the separation the build measured
+        assert sorted(shapes) == [(12, 4), (12, 7)]
 
     def test_constant_thetas_mt_floor(self):
         th = np.tile(np.array([2.0, -1.0]), (4, 1))
