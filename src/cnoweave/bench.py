@@ -113,9 +113,9 @@ class TradeoffReport:
 
 def _cno_param_count(model: cno.CnoModel) -> int:
     """Parameters that define the rolled-out model: hypernetwork, initial
-    latent code, and the readout scale."""
-    hyper = net.param_count(model.weave_model.hyper_spec)
-    return hyper + (model.weave_model.P + model.weave_model.Q) + 1
+    latent code (as stored, clock included), and the readout scale."""
+    w = model.weave_model
+    return net.param_count(w.hyper_spec) + w.codes.shape[1] + 1
 
 
 def compare(target: RecursiveTarget, eps_A: float, budgets, seed: int = 0,

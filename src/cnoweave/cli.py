@@ -8,7 +8,9 @@ failure, 6 training or simulation diverged.
 
 The output directory is taken from the config's ``out_dir`` or, failing that,
 the ``CNOWEAVE_OUT`` environment variable.  Identical configs produce
-byte-identical artifacts (manifests differ only in wall-clock timings).
+byte-identical artifacts at equal BLAS thread settings (manifests differ only
+in wall-clock timings): training's batch reductions depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ def _weave_health(w: weave.WeaveModel, decoded: np.ndarray) -> dict:
     readout of the stored codes over their scale, the packing's separation
     and the codes' aspect ratio next to its bound (both null for a single
     code), and the hypernetwork's size next to the Table-2 width bound."""
-    stored = w.M_T * w.codes[:, : w.P]  # each code's readout
+    stored = w.readout(w.codes)
     recovery = np.max(np.abs(decoded - stored))
     dims = w.hyper_spec.dims
     several = w.T > 1
@@ -373,7 +375,7 @@ def _weave_health(w: weave.WeaveModel, decoded: np.ndarray) -> dict:
         "recovery_error": float(recovery) / max(1.0, float(np.max(np.abs(stored)))),
         "packing_min_separation": w.packing.min_separation() if several else None,
         "aspect_ratio": weave.aspect_ratio(w.codes) if several else None,
-        "aspect_bound": (1 + 4 * w.R ** 2) ** 0.5 / w.delta,
+        "aspect_bound": w.aspect_bound,
         "hyper_dims": list(dims),
         "hyper_params": net.param_count(w.hyper_spec),
         # the widest hidden layer, or the output width if there is none

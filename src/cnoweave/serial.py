@@ -157,18 +157,19 @@ def load_weave(path: str) -> weave.WeaveModel:
 
 def _parse_weave(data: bytearray, path: str) -> weave.WeaveModel:
     """The weave in ``data``, the bytes of the weave file ``path``, whose
-    points block must repeat its codes' packing coordinates byte for byte."""
+    points block must repeat its codes' packing coordinates byte for byte.
+    The codes are as wide as the hypernetwork's input, which the weave
+    checks against its layout."""
     def layout(h):
         spec = net.NetSpec(tuple(h["hyper_dims"]), h["hyper_activation"])
-        return spec, [h["T"] * h["Q"], h["T"] * (h["P"] + h["Q"]), net.param_count(spec)]
+        return spec, [h["T"] * h["Q"], h["T"] * spec.d_in, net.param_count(spec)]
 
     h, hyper_spec, (points, codes, theta) = _read_record(data, path, WEAVE_MAGIC, layout)
     with _fields_of(path):
-        P, Q, T = h["P"], h["Q"], h["T"]
         w = weave.WeaveModel(
-            Q=Q, P=P, M_T=h["M_T"], delta=h["delta"], R=h["R"],
-            codes=codes.reshape(T, P + Q), hyper_spec=hyper_spec, hyper_theta=theta,
-            seed=h["seed"],
+            Q=h["Q"], P=h["P"], M_T=h["M_T"], delta=h["delta"], R=h["R"],
+            codes=codes.reshape(h["T"], hyper_spec.d_in), hyper_spec=hyper_spec,
+            hyper_theta=theta, seed=h["seed"],
         )
     if points.tobytes() != w.packing.points.tobytes():
         raise IntegrityError(f"{path}: the points block differs from the codes' "

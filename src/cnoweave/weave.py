@@ -1,23 +1,19 @@
 """Dynamic weaving: delta-packings, latent codes, and memorizing hypernetworks.
 
 A sequence of parameter vectors (theta_t) is stored as latent codes
-z_t = (theta_t / M_T, p_t) where M_T = max(1, max pairwise |theta_t - theta_s|)
-and (p_t) is a delta-packing of the unit ball in R^Q.  The packing block makes
-the codes pairwise well-separated regardless of the thetas, a ReLU network
-memorizes the successor map z_t -> z_{t+1} exactly, and a linear readout
+z_t = (theta_t / M_T, p_t, t / (T - 1)): M_T = max(1, max pairwise
+|theta_t - theta_s|), (p_t) is a delta-packing of the unit ball in R^Q that
+keeps the codes pairwise well-separated regardless of the thetas, and the
+last coordinate is a clock (0 at T = 1).  A ReLU network memorizes the
+successor map z_t -> z_{t+1} exactly along the clock, and a linear readout
 (scale the first P coordinates by M_T) recovers each theta in turn.
 
-With N = T - 1 >= 2 memorized pairs the hypernetwork has dims
-(P+Q, 1, 2(N-1), N-1, P+Q) for wide codes and (P+Q, 1, 2(N-1), P+Q)
-otherwise: one projection of the code to a line (a random direction in the
-span of the centered codes, searched through their small Gram matrix, so the
-search never draws a P+Q-wide vector), a scalar shift gamma that keeps that
-projection positive on every code, a fan-out to the 2(N-1) knot units, and
-the slope block, which holds each segment's slope once behind a pairing
-layer that turns each pair of knot units into one ramp, or each slope and
-its negative with none, whichever layout is smaller (see :func:`memorize`).
-Weaves saved with the earlier tiled layout (P+Q, 2(N-1), P+Q), whose first
-layer repeats the projection on every hidden row, load and decode unchanged.
+With N = T - 1 >= 2 memorized pairs the hypernetwork is the one-knot
+interpolant of :func:`memorize` with the clock as its projection: dims
+(P+Q+1, 1, N-1, P+Q+1).  Weaves saved before the clock have (P+Q)-wide
+codes and one of three earlier layouts, tiled (P+Q, 2(N-1), P+Q), signed
+(P+Q, 1, 2(N-1), P+Q) or paired (P+Q, 1, 2(N-1), N-1, P+Q); they are plain
+ReLU nets, so they load, pass the successor gate and decode unchanged.
 """
 
 from __future__ import annotations
@@ -213,48 +209,32 @@ def _projection_direction(xs: np.ndarray, rng) -> np.ndarray:
 def memorize(pairs, seed: int = 0) -> Memorizer:
     """Build a ReLU network with NN(x_i) = y_i exactly (to ~1e-13).
 
-    Construction: project the anchors to a random line (of 256 seeded
-    random directions in the span of the centered anchors, the one whose
-    projections are best separated; one eigendecomposition of the N x N
-    Gram lets every try draw at most N - 1 numbers, not n), sort, and build one
-    piecewise-linear ReLU interpolant per output coordinate on the shared
-    projection trunk; every coordinate's head reads the same knot units, so
-    the heads are the rows of one slope block.  The interpolant places its
-    knots a quarter-gap away from each anchor, so every anchor sits inside a
-    flat plateau: exact interpolation is unchanged, and — crucially for
-    chained evaluation — the local slope at each anchor is zero, so
-    float-level input noise is damped rather than amplified when the network
-    is iterated.
-
-    For N >= 2 anchors and K = N - 1 the network has dims
-    ``(n, 1, 2K, K, d)`` (paired) or ``(n, 1, 2K, d)`` (signed):
+    Construction: project the anchors to a line (the best-separating of 256
+    seeded random directions in the span of the centered anchors; one
+    eigendecomposition of the N x N Gram lets every try draw at most N - 1
+    numbers, not n), then interpolate along it with one knot per anchor but
+    the last.  For N >= 2 anchors and K = N - 1 the network has dims
+    ``(n, 1, K, d)``:
 
     - layer 0 is the projection direction w as a 1 x n block; its input
-      shift beta moves every anchor into the positive orthant, so its ReLU
-      is the identity there and it computes p = relu(x + beta) . w;
+      shift beta moves the coordinates w reads of every anchor into the
+      positive orthant, so it computes p = relu(x + beta) . w = (x + beta) . w
+      on the anchors;
     - layer 1 is a column of ones with the scalar input shift
-      gamma = 1 + max(0, -min_k p_k), taken over the anchors' p as the
-      network computes them, so its ReLU passes p + gamma >= 1 unchanged
-      and fans it out to the 2K knot units;
-    - layer 2 has the knot biases -(u + beta * sum(w) + gamma) and
-      -(v + beta * sum(w) + gamma), which take both shifts back out, so knot
-      unit pair i computes relu(s - u_i) and relu(s - v_i) of the
-      projection s.  Paired, it is the K x 2K pairing block, [1, -1] on each
-      unit pair, whose row i forms the ramp r_i = relu(s - u_i) - relu(s - v_i),
-      and layer 3 is the d x K slope block with a zero input shift: u_i < v_i
-      and rounding is monotone, so r_i >= 0 even in floating point and its
-      ReLU is the identity.  Signed, layer 2 is the d x 2K slope block itself,
-      each slope next to its negative.
+      gamma = 1 + max(0, -min_k p_k), so its ReLU passes s = p + gamma >= 1
+      unchanged and fans it out to the K knot units;
+    - layer 2 has the knot biases -s_i of the sorted anchors but the last,
+      so knot unit i computes relu(s - s_i), and the d x K slope block,
+      whose column a_i is the change of slope at s_i.  With the first
+      anchor's target y_0 as output bias the network is
+      f(s) = y_0 + sum_i a_i relu(s - s_i).
 
-    Paired holds 2n + 2K^2 + K(d + 5) + d + 5 numbers and signed
-    2n + 2K(d + 2) + d + 4, so the pairing block pays only when
-    d > 2K + 1 + 1/K; memorize emits the smaller, and its rollout work
-    scales with its size.  The function is the same either way.
-
-    The projection is one dot product per input, not one per hidden unit.
-    A single anchor gives the constant net ``(n, d)``.  Anchors that are
-    equal, or too close for any searched projection to separate, raise
-    InvalidArgumentError.
+    It holds 2n + K(d + 2) + d + 4 numbers, each slope change once.  Every
+    coordinate's head reads the same knot units.  gamma and the knots are
+    taken at p as the network computes it, not at x . w, so anchors far
+    from the origin, where beta is large, keep their fit.  A single anchor
+    gives the constant net ``(n, d)``.  Anchors that are equal, or too close
+    for any searched projection to separate, raise InvalidArgumentError.
     """
     xs = np.asarray([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in pairs])
     ys = np.asarray([np.atleast_1d(np.asarray(p[1], dtype=np.float64)) for p in pairs])
@@ -262,110 +242,121 @@ def memorize(pairs, seed: int = 0) -> Memorizer:
         raise InvalidArgumentError("pairs must be a nonempty list of (x, y) vectors")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise InvalidArgumentError("anchors and their targets must be finite")
+    # the search is also the distinctness check: equal anchors give a zero
+    # (or rounding-level) gap on every projection, which _interpolant rejects
+    w = _projection_direction(xs, np.random.default_rng(seed)) if len(xs) > 1 else None
+    return _interpolant(xs, ys, w)
+
+
+def _interpolant(xs: np.ndarray, ys: np.ndarray, w) -> Memorizer:
+    """The one-knot ReLU interpolant of the anchor rows ``xs`` to the target
+    rows ``ys`` along the direction ``w`` (see :func:`memorize`); the
+    constant net for a single anchor, whatever ``w``."""
     N, n = xs.shape
     d = ys.shape[1]
-
     if N == 1:
         spec = net.NetSpec((n, d), "relu")
         theta = net.pack(spec, [(np.zeros((d, n)), np.zeros(n), 0.0)], ys[0])
         return Memorizer(spec, theta)
-
-    # the search is also the distinctness check: equal anchors give a zero
-    # (or rounding-level) gap on every projection, never above 1e-12 of the span
-    w = _projection_direction(xs, np.random.default_rng(seed))
-    s = xs @ w
-    order = np.argsort(s)
-    s_sorted = s[order]
-    gaps = np.diff(s_sorted)
-    span = s_sorted[-1] - s_sorted[0]
-    if not (span > 0 and gaps.min() / span > 1e-12):
-        raise InvalidArgumentError("anchor inputs must be pairwise distinct: some are "
-                                   "equal, or too close for a random projection to separate")
-    # xs >= min and beta >= -min, and rounding is monotone, so xs + beta >= 0
-    # even in floating point: the first layer's ReLU is the identity on anchors
-    beta = 1.0 + max(0.0, -float(xs.min()))
-    w_offset = beta * float(np.sum(w))
-
-    # per-segment ramps with quarter-gap plateaus around every anchor: ramp i
-    # runs from u_i to v_i, and segment i's slope is applied along it
-    u = s_sorted[:-1] + 0.25 * gaps
-    v = s_sorted[1:] - 0.25 * gaps
-
-    # each slope once behind a pairing layer, or next to its negative with
-    # none: the pairing block is (N-1) x 2(N-1), so it pays only for wide
-    # targets, d > 2(N-1) + 1 + 1/(N-1); the smaller layout is kept
     K = N - 1
-    paired = net.NetSpec((n, 1, 2 * K, K, d), "relu")
-    signed = net.NetSpec((n, 1, 2 * K, d), "relu")
-    spec = paired if net.param_count(paired) < net.param_count(signed) else signed
+    spec = net.NetSpec((n, 1, K, d), "relu")
     # every block is written through views into theta, so no model-sized
     # array but theta is built
     theta = np.zeros(net.param_count(spec))
-    layers, c = net._blocks(spec, theta)
-    (A0, b0, _), (A1, b1, _), (A2, b2, _) = layers[:3]
+    ((A0, b0, _), (A1, b1, _), (A2, b2, _)), c = net._blocks(spec, theta)
     A0[0] = w
-    b0[:] = beta
-    # the projection as layer 0 computes it; gamma keeps it positive on anchors
-    shifted = xs + b0
-    p = np.maximum(shifted, 0.0, out=shifted) @ w
-    gamma = 1.0 + max(0.0, -float(p.min()))
+    # p as layer 0 computes it, on the columns w reads: the others add exact
+    # zeros, and a sparse w (the weave's clock) copies no more than it reads
+    read = slice(None) if np.all(w) else np.flatnonzero(w)
+    shifted = xs[:, read]
+    # beta >= -min of those columns (none if w is zero), and rounding is
+    # monotone, so they stay >= 0 after the shift: layer 0's ReLU passes them
+    b0[:] = 1.0 - float(shifted.min(initial=0.0))
+    shifted = shifted + b0[0]
+    p = np.dot(np.maximum(shifted, 0.0, out=shifted), A0[:, read].T)[:, 0]
     A1[:] = 1.0
-    b1[0] = gamma
-    # knot unit pair (2i, 2i+1) switches on at u_i and v_i; their difference
-    # is the ramp r_i, which rises from 0 to v_i - u_i
-    b2[0::2] = -(u + w_offset + gamma)
-    b2[1::2] = -(v + w_offset + gamma)
-    if spec is paired:
-        ramps = np.arange(K)
-        A2[ramps, 2 * ramps] = 1.0
-        A2[ramps, 2 * ramps + 1] = -1.0
-        slopes = layers[3][0]  # column i applies along ramp i
-    else:
-        slopes = A2[:, 0::2]  # column 2i switches slope i on, 2i + 1 off
-    # slope i: segment i's rise over its ramp's length
+    b1[0] = 1.0 + max(0.0, -float(p.min()))
+    s = p + b1[0]  # the knot units' input, as layer 1 computes it
+    order = np.argsort(s)
+    s = s[order]
+    gaps = np.diff(s)
+    if not (s[-1] > s[0] and gaps.min() / (s[-1] - s[0]) > 1e-12):
+        raise InvalidArgumentError("anchor inputs must be pairwise distinct: some are "
+                                   "equal, or too close for a random projection to separate")
+    b2[:] = -s[:-1]
+    # column i: segment i's slope less segment i - 1's, one target row at a time
+    previous = 0.0
     for i in range(K):
-        np.subtract(ys[order[i + 1]], ys[order[i]], out=slopes[:, i])
-        slopes[:, i] /= v[i] - u[i]
-    if spec is signed:
-        np.negative(slopes, out=A2[:, 1::2])
+        slope = ys[order[i + 1]] - ys[order[i]]
+        slope /= gaps[i]
+        np.subtract(slope, previous, out=A2[:, i])
+        previous = slope
     c[:] = ys[order[0]]
     return Memorizer(spec, theta)
+
+
+def _clock(T: int) -> np.ndarray:
+    """The codes' last column: t / (T - 1) for t < T, and 0 at T = 1."""
+    return np.arange(T) / max(1, T - 1)
 
 
 @dataclass(frozen=True)
 class WeaveModel:
     """Latent codes, the memorizing hypernetwork, and the scaling readout.
 
-    ``packing`` is not stored: it is the codes' last Q coordinates, with R
-    and delta, and is validated as a :class:`Packing` at construction."""
+    The one place that knows the codes' layout: the theta / M_T block is
+    the first P columns, the packing block the next Q, and the clock
+    t / (T - 1) the last.  Weaves saved before the clock have no clock
+    column.  ``packing`` is not stored: it is the packing block, with R and
+    delta, and is validated as a :class:`Packing` at construction."""
 
     Q: int
     P: int
     M_T: float
     delta: float
     R: float
-    codes: np.ndarray  # (T, P + Q)
+    codes: np.ndarray  # (T, P + Q + 1), or (T, P + Q) without the clock
     hyper_spec: net.NetSpec
     hyper_theta: np.ndarray
     seed: int
     packing: Packing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dim = self.P + self.Q
-        if self.codes.ndim != 2 or self.codes.shape[1] != dim:
-            raise InvalidArgumentError(f"codes must be (T, {dim}), got {self.codes.shape}")
-        if (self.hyper_spec.d_in, self.hyper_spec.d_out) != (dim, dim):
-            raise InvalidArgumentError(
-                f"hypernetwork dims {self.hyper_spec.dims} must map R^{dim} to R^{dim}"
-            )
+        P, Q, codes = self.P, self.Q, self.codes
+        if codes.ndim != 2 or len(codes) == 0 or codes.shape[1] not in (P + Q, P + Q + 1):
+            raise InvalidArgumentError(f"codes must be a nonempty (T, {P + Q + 1}) array, "
+                                       f"or (T, {P + Q}) without the clock; got {codes.shape}")
+        if self.clocked and not np.array_equal(codes[:, -1], _clock(self.T)):
+            raise InvalidArgumentError("the codes' last column is not the clock t / (T - 1)")
+        width = codes.shape[1]
+        if (self.hyper_spec.d_in, self.hyper_spec.d_out) != (width, width):
+            raise InvalidArgumentError(f"hypernetwork dims {self.hyper_spec.dims} must map "
+                                       f"the {width}-wide codes to codes")
         if not (math.isfinite(self.M_T) and self.M_T >= 1):
             raise InvalidArgumentError(f"M_T must be finite and at least 1, got {self.M_T}")
-        object.__setattr__(self, "packing",
-                           Packing(self.Q, self.R, self.delta, self.codes[:, self.P:]))
+        object.__setattr__(self, "packing", Packing(Q, self.R, self.delta, codes[:, P:P + Q]))
+
+    @staticmethod
+    def assemble_codes(thetas: np.ndarray, M_T: float, points: np.ndarray) -> np.ndarray:
+        """The codes (thetas / M_T, points, clock) of the (T, P) ``thetas``
+        and the (T, Q) packing ``points``."""
+        return np.hstack([thetas / M_T, points, _clock(len(thetas))[:, None]])
 
     @property
     def T(self):
         return len(self.codes)
+
+    @property
+    def clocked(self) -> bool:
+        return self.codes.shape[1] > self.P + self.Q
+
+    @property
+    def aspect_bound(self) -> float:
+        """The bound on the codes' aspect ratio: the packing keeps them more
+        than delta apart, and their squared diameter is at most 1 from the
+        theta block (M_T is the thetas' diameter), 4R^2 from the packing and
+        1 from the clock."""
+        return math.sqrt(1 + self.clocked + 4 * self.R ** 2) / self.delta
 
     @cached_property
     def hyper_layers(self) -> tuple:
@@ -408,9 +399,10 @@ class WeaveModel:
     def z0(self):
         return self.codes[0]
 
-    def readout(self, z: np.ndarray) -> np.ndarray:
-        """L(z): scale the first P coordinates back to parameter space."""
-        return self.M_T * np.asarray(z)[: self.P]
+    def readout(self, z: np.ndarray, out=None) -> np.ndarray:
+        """L(z): scale the first P coordinates of a code, or of each row of a
+        stack of codes, back to parameter space (into ``out`` if given)."""
+        return np.multiply(np.asarray(z)[..., : self.P], self.M_T, out=out)
 
 
 def viable_horizon(Q: int, delta: float) -> int:
@@ -428,9 +420,11 @@ def viable_horizon(Q: int, delta: float) -> int:
 def build_weave(thetas, Q: int, delta: float, seed: int = 0) -> WeaveModel:
     """Assemble latent codes for a parameter sequence and memorize successors.
     The packing block is a delta-packing of the unit ball, validated once, by
-    the returned model.  A single code has no successor, so it memorizes
-    z0 -> z0: the constant net ``(P+Q, P+Q)``, which a one-step rollout never
-    evaluates."""
+    the returned model.  The successors are memorized along the clock, whose
+    anchors lie 1 / (T - 1) apart, so no projection is searched and the
+    codes are not copied.  A single code has no successor, so it memorizes
+    z0 -> z0: the constant net ``(P+Q+1, P+Q+1)``, which a one-step rollout
+    never evaluates."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or len(thetas) == 0:
         raise InvalidArgumentError("thetas must be a nonempty (T, P) array")
@@ -444,9 +438,12 @@ def build_weave(thetas, Q: int, delta: float, seed: int = 0) -> WeaveModel:
         )
     m_t = _distance_extremes(thetas)[1] if T > 1 else 0.0
     M_T = max(1.0, m_t)
-    codes = np.hstack([thetas / M_T, _pack_points(Q, 1.0, delta, T, seed)])
-    pairs = list(zip(codes[:-1], codes[1:])) if T > 1 else [(codes[0], codes[0])]
-    mem = memorize(pairs, seed=seed)
+    codes = WeaveModel.assemble_codes(thetas, M_T, _pack_points(Q, 1.0, delta, T, seed))
+    clock = np.zeros(codes.shape[1])
+    clock[-1] = 1.0
+    # every code but the last maps to the next; a lone code maps to itself
+    anchors, targets = (codes[:-1], codes[1:]) if T > 1 else (codes, codes)
+    mem = _interpolant(anchors, targets, clock)
     return WeaveModel(
         Q=Q, P=P, M_T=M_T, delta=delta, R=1.0, codes=codes,
         hyper_spec=mem.spec, hyper_theta=mem.theta, seed=seed,
@@ -461,11 +458,10 @@ def rollout(w: WeaveModel, steps: int) -> np.ndarray:
         raise InvalidArgumentError(f"steps must be in [1, {w.T}], got {steps}")
     # each step is net.forward's layer loop and the readout, nothing else
     layers, c = w.hyper_layers
-    M_T, P = w.M_T, w.P
-    out = np.empty((steps, P))
+    out = np.empty((steps, w.P))
     z = w.z0
     for i in range(steps):
-        np.multiply(z[:P], M_T, out=out[i])
+        w.readout(z, out=out[i])
         if i < steps - 1:
             z = net._realize(layers, c, z)
     return out

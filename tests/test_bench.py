@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cnoweave import bench
+from cnoweave import bench, cno, net, weave
 from cnoweave.errors import InvalidArgumentError
 
 RNG = np.random.default_rng
@@ -101,3 +101,16 @@ class TestCompare:
         with pytest.raises(InvalidArgumentError):
             bench.compare(target, 0.1, [{"kind": "ffnn", "dims": (2, 4, 1)}])
 
+
+
+def test_cno_param_count_counts_the_stored_code():
+    # the hypernetwork, the initial code as stored (P + Q + 1 wide, the clock
+    # included) and the readout scale
+    spec = net.NetSpec((2, 3, 1), "prelu")
+    w = weave.build_weave(RNG(3).standard_normal((4, net.param_count(spec))), Q=4, delta=0.5)
+    model = cno.CnoModel(
+        weave_model=w, synced_spec=spec, grid=cno.TimeGrid(np.arange(4.0)), M=2,
+        step_dim=1, out_dim=1, out_spaces=[], reports=[], Q=4, delta=0.5, seed=0)
+    assert w.codes.shape[1] == w.P + w.Q + 1
+    assert bench._cno_param_count(model) == (net.param_count(w.hyper_spec)
+                                             + w.P + w.Q + 1 + 1)

@@ -349,10 +349,12 @@ class TestPipeline:
         assert summary["packing_min_separation"] > summary["delta"]
         assert 1.0 <= summary["aspect_ratio"] <= summary["aspect_bound"]
         assert summary["Q"] == 4
-        # P + Q = 53 + 4 code coordinates; 3 codes: 2 memorized pairs, 2 knot units
+        # P + Q + 1 = 53 + 4 + 1 code coordinates with the clock; 3 codes: 2
+        # memorized pairs, 1 knot unit
         assert summary["P"] == 53
-        assert summary["hyper_dims"] == [57, 1, 2, 1, 57]
-        assert summary["hyper_params"] == net.param_count(net.NetSpec((57, 1, 2, 1, 57)))
+        assert summary["hyper_dims"] == [58, 1, 1, 58]
+        assert summary["hyper_params"] == net.param_count(net.NetSpec((58, 1, 1, 58)))
+        assert summary["aspect_bound"] == (2 + 4 * 1.0 ** 2) ** 0.5 / 0.5
         # measured weave fidelity: within the successor gate and the recovery contract
         assert 0.0 <= summary["successor_residual"] <= 1e-9
         assert 0.0 <= summary["recovery_error"] <= 1e-6
@@ -399,7 +401,7 @@ class TestPipeline:
 
         monkeypatch.setattr(net, "_realize", counted)
         assert run(["inspect", str(out / "bundle")]) == 0
-        assert batched == [(2, 57)]
+        assert batched == [(2, 58)]  # 2 codes of P + Q + 1 = 58 coordinates
 
     def test_inspect_measures_a_weave_that_drifted(self, bundle):
         # every hypernetwork weight moved by 1e-6: the decoded filters drift,
@@ -467,19 +469,21 @@ def test_drifted_weave_is_5(bundle, tmp_path, capsys):
     assert capsys.readouterr().err.count("integrity failure: the weave misses window") == 3
 
 
-def rewrite_weave(bundle, edit):
+def rewrite_weave(bundle, edit, payload_of=lambda floats, T, Q, width: floats):
     """Apply ``edit(header, points, codes)`` to the stored weave.bin of a
-    bundle directory, in place, keep model.json's delta equal to the
-    header's, and re-hash the manifest."""
+    bundle directory, in place, store ``payload_of(floats, T, Q, width)`` of
+    its edited payload, keep model.json's delta equal to the header's, and
+    re-hash the manifest."""
     path = bundle / "weave.bin"
     magic, header, payload = path.read_bytes().split(b"\n", 2)
     h = json.loads(header)
-    T, P, Q = h["T"], h["P"], h["Q"]
+    T, Q, width = h["T"], h["Q"], h["hyper_dims"][0]  # codes as wide as the net's input
     floats = np.frombuffer(payload, "<f8").copy()
     points = floats[: T * Q].reshape(T, Q)
-    codes = floats[T * Q : T * (P + 2 * Q)].reshape(T, P + Q)
+    codes = floats[T * Q : T * (Q + width)].reshape(T, width)
     edit(h, points, codes)
-    path.write_bytes(b"\n".join([magic, json.dumps(h).encode(), floats.tobytes()]))
+    payload = payload_of(floats, T, Q, width).tobytes()
+    path.write_bytes(b"\n".join([magic, json.dumps(h).encode(), payload]))
     meta = json.loads((bundle / "model.json").read_text())
     (bundle / "model.json").write_text(json.dumps({**meta, "delta": h["delta"]}))
     serial.write_manifest(str(bundle), {}, serial.BUNDLE_FILES, {})
@@ -535,6 +539,29 @@ def test_rehashed_weave_that_fails_a_load_check_is_5(bundle, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("integrity failure") == 2 and message in err
 
+
+def test_empty_weave_is_5(bundle, tmp_path, capsys):
+    # a re-hashed weave.bin whose header says T = 0 and whose payload is only
+    # its hypernetwork: the sizes agree, but a weave of no codes decodes nothing
+    _, out = bundle
+    tampered = tmp_path / "bundle"
+    shutil.copytree(out / "bundle", tampered)
+    rewrite_weave(tampered, _set("T", 0),
+                  payload_of=lambda floats, T, Q, width: floats[T * (Q + width):])
+    assert run(["inspect", str(tampered)]) == 5
+    assert "codes must be a nonempty" in capsys.readouterr().err
+
+
+def test_inspect_reports_a_clockless_bundle_against_its_own_bound(capsys):
+    # a bundle saved before the clock (see tests/test_serial.py) has codes
+    # (theta / M_T, p), whose squared diameter is at most 1 + 4R^2
+    legacy = os.path.join(os.path.dirname(__file__), "data", "legacy_signed")
+    assert run(["inspect", legacy]) == 0
+    summary = strict_json(capsys.readouterr().out)
+    assert summary["aspect_bound"] == (1 + 4 * 1.0 ** 2) ** 0.5 / 0.5
+    assert 1.0 <= summary["aspect_ratio"] <= summary["aspect_bound"]
+    assert summary["hyper_dims"] == [21, 1, 28, 21]
+    assert summary["successor_residual"] <= 1e-9
 
 def test_horizon_1_bundle_inspects_as_strict_json(tmp_path, capsys):
     out = tmp_path / "run"

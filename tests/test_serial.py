@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -27,55 +28,35 @@ def small_model(seed=0):
     return model
 
 
-def width1_layout(w):
-    """The paired weave ``w`` with its hypernetwork in the signed
-    (n, 1, 2(N-1), d) layout: no pairing layer, so the slope block S is
-    stored as S . Pair, every slope next to its negative.  memorize emits it
-    for narrow codes, and emitted it for every code before the pairing
-    layer."""
-    layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
-    (A0, b0, _), (A1, b1, _), (A2, b2, _), (A3, _, _) = layers
-    spec = net.NetSpec((A0.shape[1], 1, A2.shape[1], A3.shape[0]), "relu")
-    theta = net.pack(spec, [(A0, b0, 0.0), (A1, b1, 0.0), (A3 @ A2, b2, 0.0)], c)
-    return dataclasses.replace(w, hyper_spec=spec, hyper_theta=theta)
+DATA = pathlib.Path(__file__).parent / "data"
+LEGACY_DIMS = {"paired": (30, 1, 20, 10, 30), "signed": (21, 1, 28, 21),
+               "tiled": (30, 20, 30)}
 
 
-def tiled_layout(w):
-    """The paired weave ``w`` with its hypernetwork in the (n, 2(N-1), d)
-    layout: the projection direction tiled over the hidden rows, gamma
-    folded into the hidden biases, and the slope block stored as S . Pair."""
-    layers, c = net.unpack(w.hyper_spec, w.hyper_theta)
-    (A0, b0, _), (A1, (gamma,), _), (A2, b2, _), (A3, _, _) = layers
-    spec = net.NetSpec((A0.shape[1], A2.shape[1], A3.shape[0]), "relu")
-    theta = net.pack(spec, [(np.tile(A0, (A1.shape[0], 1)), b0, 0.0),
-                            (A3 @ A2, b2 + gamma, 0.0)], c)
-    return dataclasses.replace(w, hyper_spec=spec, hyper_theta=theta)
+def legacy_model(layout):
+    """The bundle ``tests/data/legacy_<layout>``, loaded (so it passed the
+    load gate), and the (T, P) filters it decoded to when it was saved,
+    ``legacy_<layout>.decoded.npy``.
 
+    The bundles predate the clock coordinate: the code at commit c55c5ff,
+    whose codes are (theta / M_T, p), wrote them with ``serial.save_bundle``
+    of a ``CnoModel`` with no reports, loaded each back with
+    ``serial.load_bundle`` and saved its ``model._thetas`` with np.save.
 
-def bundle_of(w, out):
-    """Save a bundle whose model is the weave ``w`` of (3, 4, 1) filters."""
-    spec = net.NetSpec((3, 4, 1), "prelu")
-    model = cno.CnoModel(
-        weave_model=w, synced_spec=spec, grid=cno.TimeGrid(np.arange(w.T, dtype=np.float64)),
-        M=3, step_dim=1, out_dim=1, out_spaces=[], reports=[], Q=w.Q, delta=w.delta,
-        seed=w.seed)
-    serial.save_bundle(str(out), model)
-    return out
-
-
-def check_old_layout(layout, dims, out):
-    """A weave saved in an earlier ``layout`` loads in a bundle, passes the
-    load gate, and decodes its filters to 1e-6."""
-    # (3, 4, 1) filters hold 26 parameters; 30-wide codes over 11 memorized
-    # pairs are wide enough for memorize's paired layout
-    th = RNG(5).standard_normal((12, 26))
-    w = weave.build_weave(th, Q=4, delta=0.5, seed=0)
-    loaded = serial.load_bundle(str(bundle_of(layout(w), out))).weave_model
-    # T codes, so T - 1 memorized pairs and 2(T - 2) knot units
-    assert loaded.hyper_spec.dims == dims(w.P + w.Q, 2 * (w.T - 2))
-    scale = max(1.0, float(np.abs(th).max()))
-    for t, theta in enumerate(weave.rollout(loaded, w.T)):
-        assert np.max(np.abs(theta - th[t])) / scale <= 1e-6
+    - paired: ``build_weave(default_rng(5).standard_normal((12, 26)), Q=4,
+      delta=0.5, seed=0)``, whose 30-wide codes over 11 pairs took the
+      paired layout (30, 1, 20, 10, 30), stored as (3, 4, 1) PReLU filters;
+    - signed: weave-test's default weave,
+      ``build_weave(default_rng(0).standard_normal((16, 17)), Q=4,
+      delta=0.5, seed=0)``, which took the signed layout (21, 1, 28, 21),
+      stored as (2, 3, 1) filters;
+    - tiled: the paired weave's hypernetwork rewritten in the tiled layout
+      (30, 20, 30), which predates the width-1 projection layer: the
+      projection tiled over the 20 hidden rows, gamma folded into the hidden
+      biases, and the slope block multiplied by the pairing block.
+    """
+    return (serial.load_bundle(str(DATA / f"legacy_{layout}")),
+            np.load(DATA / f"legacy_{layout}.decoded.npy"))
 
 
 class TestNetFormat:
@@ -122,19 +103,34 @@ class TestWeaveFormat:
         for a, b in zip(weave.rollout(w, 6), weave.rollout(w2, 6)):
             assert np.array_equal(a, b)
 
-    def test_tiled_layout_loads_and_decodes(self, tmp_path):
+    def check_legacy_layout(self, layout):
+        model, decoded = legacy_model(layout)
+        w = model.weave_model
+        assert w.hyper_spec.dims == LEGACY_DIMS[layout]
+        assert w.codes.shape == (w.T, w.P + w.Q) and not w.clocked
+        assert model._thetas.tobytes() == decoded.tobytes()
+
+    def test_tiled_layout_loads_and_decodes(self):
         # weaves saved before the width-1 projection layer repeat w on every
         # hidden row and keep gamma in the hidden biases
-        check_old_layout(tiled_layout, lambda n, knots: (n, knots, n), tmp_path / "b")
+        self.check_legacy_layout("tiled")
 
-    def test_width1_layout_loads_and_decodes(self, tmp_path):
+    def test_width1_layout_loads_and_decodes(self):
         # weaves saved before the pairing layer store every slope twice
-        check_old_layout(width1_layout, lambda n, knots: (n, 1, knots, n), tmp_path / "b")
+        self.check_legacy_layout("signed")
 
-    @pytest.mark.parametrize("layout", [lambda w: w, width1_layout, tiled_layout],
-                             ids=["paired", "width1", "tiled"])
+    def test_paired_layout_loads_and_decodes(self):
+        # weaves saved before the clock store each slope once behind a
+        # pairing layer
+        self.check_legacy_layout("paired")
+
+    @pytest.mark.parametrize("layout", ["clock", "paired", "signed", "tiled"],
+                             ids=["clock", "paired", "width1", "tiled"])
     def test_rollout_is_chained_forward(self, layout):
-        w = layout(weave.build_weave(RNG(6).standard_normal((7, 11)), Q=4, delta=0.5, seed=0))
+        if layout == "clock":
+            w = weave.build_weave(RNG(6).standard_normal((7, 11)), Q=4, delta=0.5, seed=0)
+        else:
+            w = legacy_model(layout)[0].weave_model
         z = w.z0
         chained = []
         for _ in range(w.T):

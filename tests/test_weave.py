@@ -141,119 +141,92 @@ class TestMemorize:
         rng = RNG(2)
         pairs = [(rng.standard_normal(3), rng.standard_normal(2)) for _ in range(6)]
         m = weave.memorize(pairs)
-        assert max(m.spec.dims[1:-1]) == 2 * 5 <= 3 * 5 + 12
+        assert max(m.spec.dims[1:-1]) == 5 <= 3 * 5 + 12
 
     @pytest.mark.parametrize("N", [2, 3, 9])
     def test_width_one_projection_layout(self, N):
-        # narrow targets keep each slope next to its negative; targets wider
-        # than 2K + 1 + 1/K get the K x 2K pairing layer
+        # one knot unit per anchor but the last, behind a width-1 projection,
+        # for narrow and wide targets alike
         K = N - 1
         rng = RNG(N)
-        for d, dims in [(3, (4, 1, 2 * K, 3)), (2 * K + 3, (4, 1, 2 * K, K, 2 * K + 3))]:
+        for d in (3, 2 * K + 3):
             pairs = [(rng.standard_normal(4), rng.standard_normal(d)) for _ in range(N)]
             m = weave.memorize(pairs, seed=0)
-            assert m.spec.dims == dims
-            assert max(m.spec.dims[1:-1]) == 2 * K
+            assert m.spec.dims == (4, 1, K, d)
 
     @pytest.mark.parametrize("N, n, d", [(2, 4, 3), (2, 4, 5), (9, 5, 2), (9, 5, 18),
                                          (9, 5, 19), (31, 40, 40), (31, 40, 62),
                                          (31, 40, 80)])
     def test_param_count_closed_form(self, N, n, d):
-        # with K = N - 1, (n, 1, 2K, K, d) holds 2n + 2K^2 + K(d + 5) + d + 5
-        # numbers and (n, 1, 2K, d) holds 2n + 2K(d + 2) + d + 4; memorize
-        # emits the smaller, the signed one on a tie.  At the wide weave's 31
-        # anchors of width 18,459 that is 611,102 against 1,163,041
+        # with K = N - 1, (n, 1, K, d) holds 2n + K(d + 2) + d + 4 numbers.
+        # At the wide weave's 31 anchors of width 18,460 that is 609,244
         rng = RNG(N)
         m = weave.memorize(list(zip(rng.standard_normal((N, n)),
                                     rng.standard_normal((N, d)))), seed=0)
         K = N - 1
-        paired = 2 * n + 2 * K * K + K * (d + 5) + d + 5
-        signed = 2 * n + 2 * K * (d + 2) + d + 4
-        assert m.theta.size == min(paired, signed)
-        assert m.spec.depth == (4 if paired < signed else 3)
-        assert (paired < signed) == (d > 2 * K + 1 + 1 / K)
+        assert m.theta.size == 2 * n + K * (d + 2) + d + 4
+        assert m.spec.depth == 3
 
     def test_table2_shape_is_no_larger_than_signed(self):
         # a Table-2 shape, P = 17 and Q = 4 over T = 16 codes: 15 anchors of
-        # width 21 keep the signed layout's 711 parameters, where the
-        # pairing block would make 824
+        # width 22 (the clock included) take 406 parameters, where the signed
+        # layout took 711 and the pairing block 824 on the clockless codes
         w = weave.build_weave(RNG(17).standard_normal((16, 17)), Q=4, delta=0.5, seed=0)
-        assert w.hyper_spec.dims == (21, 1, 28, 21)
-        assert w.hyper_theta.size == 711
+        assert w.hyper_spec.dims == (22, 1, 14, 22)
+        assert w.hyper_theta.size == 406
         for t, theta in enumerate(weave.rollout(w, w.T)):
             assert np.max(np.abs(theta - w.M_T * w.codes[t, :17])) <= 1e-9
 
     @pytest.mark.parametrize("d", [5, 30])
     def test_each_slope_stored_once(self, d):
-        # paired (d = 30): a pairing block and one column per slope; signed
-        # (d = 5): slope column 2i + 1 is exactly the negative of column 2i,
-        # the smaller layout at these widths
+        # the slope block's column i is the change of slope at knot i, so its
+        # running sum is each segment's rise over its run between anchors
         rng = RNG(12)
         N = 12
-        m = weave.memorize(list(zip(rng.standard_normal((N, 6)),
-                                    rng.standard_normal((N, d)))), seed=0)
+        xs, ys = rng.standard_normal((N, 6)), rng.standard_normal((N, d))
+        m = weave.memorize(list(zip(xs, ys)), seed=0)
         layers, _ = net.unpack(m.spec, m.theta)
-        blocks = [A for A, _, _ in layers]
-        if d == 5:
-            S = blocks[2]
-            assert S.shape == (d, 2 * (N - 1))
-            assert np.array_equal(S[:, 1::2], -S[:, 0::2])
-            S = S[:, 0::2]
-        else:
-            A2, S = blocks[2:]
-            assert np.array_equal(A2, np.kron(np.eye(N - 1), [1.0, -1.0]))  # the pairing block
-            assert S.shape == (d, N - 1)
-        # no slope column is the negative of another
-        for i in range(N - 1):
-            for j in range(N - 1):
-                assert not np.array_equal(S[:, i], -S[:, j])
+        (A0, b0, _), (_, b1, _), (S, b2, _) = layers
+        assert S.shape == (d, N - 1)
+        s = np.maximum(xs + b0, 0.0) @ A0[0] + b1
+        order = np.argsort(s)
+        segments = np.diff(ys[order], axis=0) / np.diff(s[order])[:, None]
+        assert np.allclose(np.cumsum(S, axis=1).T, segments, rtol=1e-9, atol=1e-9)
+
+    def test_knots_sit_on_the_anchors_as_the_network_projects_them(self):
+        # knot unit i switches on exactly at the i-th sorted anchor's
+        # projection, as layers 0 and 1 compute it
+        rng = RNG(3)
+        xs = rng.standard_normal((32, 8))
+        m = weave.memorize(list(zip(xs, rng.standard_normal((32, 8)))), seed=0)
+        (A0, b0, _), (A1, b1, _), (_, b2, _) = net.unpack(m.spec, m.theta)[0]
+        s = np.dot(np.maximum(xs + b0, 0.0), A0.T) + b1
+        assert np.array_equal(A1, np.ones((31, 1)))
+        assert np.array_equal(np.sort(s[:, 0])[:-1], -b2)
 
     def test_far_anchors_with_projections_of_both_signs(self):
         # anchors near -1e8: beta is ~1e8, and where the projections p
-        # straddle 0, gamma must lift them before layer 1's ReLU; 2-wide
-        # targets get the signed layout, 12-wide ones the paired one, whose
-        # ramps stay >= 0, so layer 3's ReLU with no input shift passes them
+        # straddle 0, gamma must lift them before layer 1's ReLU
         rng = RNG(1)
         xs = -1e8 + 10 * rng.random((6, 3))
-        ys = rng.standard_normal((6, 2))
-        wide = rng.standard_normal((6, 12))
         straddled = 0
         for seed in range(32):
-            for targets, depth in [(ys, 3), (wide, 4)]:
+            for targets in (rng.standard_normal((6, 2)), rng.standard_normal((6, 12))):
                 m = weave.memorize(list(zip(xs, targets)), seed=seed)
                 layers, _ = net.unpack(m.spec, m.theta)
-                assert m.spec.depth == depth
-                (A0, b0, _), (A1, b1, _), (A2, b2, _) = layers[:3]
+                assert m.spec.depth == 3
+                (A0, b0, _), (A1, b1, _) = layers[:2]
                 p = np.maximum(xs + b0, 0.0) @ A0[0]
-                assert np.array_equal(A1, np.ones((10, 1)))
+                assert np.array_equal(A1, np.ones((5, 1)))
                 assert b1[0] == 1.0 + max(0.0, -p.min())
-                if depth == 4:
-                    knots = np.maximum(p[:, None] + b1 + b2, 0.0)
-                    ramps = knots @ A2.T
-                    assert np.all(ramps >= 0.0)
-                    assert np.array_equal(layers[3][1], np.zeros(5))
                 worst = float(np.max(np.abs(net.forward(m.spec, m.theta, xs) - targets)))
                 assert worst <= 1e-9
             straddled += p.min() < 0.0 < p.max()
         assert straddled > 0
 
-    def test_zero_slope_at_every_anchor(self):
-        # the plateau property: a central difference along every coordinate
-        # direction vanishes at each anchor
-        rng = RNG(3)
-        xs = rng.standard_normal((32, 8))
-        ys = rng.standard_normal((32, 8))
-        m = weave.memorize(list(zip(xs, ys)), seed=0)
-        h = 1e-6
-        steps = h * np.eye(8)
-        plus = net.forward(m.spec, m.theta, xs[:, None, :] + steps)
-        minus = net.forward(m.spec, m.theta, xs[:, None, :] - steps)
-        slopes = (plus - minus) / (2 * h)  # (anchor, direction, output)
-        assert np.max(np.abs(slopes)) <= 1e-6
-
     @pytest.mark.parametrize("case", ["collinear_12_in_r200", "9_anchors_in_r2",
                                       "far_offset_n400"])
-    def test_edge_anchors_interpolate_flat_from_inside_their_span(self, case):
+    def test_edge_anchors_fit_inside_their_span(self, case):
         rng = RNG(8)
         if case == "collinear_12_in_r200":  # centered anchors of rank 1
             base, step = rng.standard_normal((2, 200))
@@ -266,12 +239,6 @@ class TestMemorize:
         ys = rng.standard_normal((N, 3))
         m = weave.memorize(list(zip(xs, ys)), seed=0)
         assert np.max(np.abs(net.forward(m.spec, m.theta, xs) - ys)) <= 1e-9
-        # the plateau: a central difference along every coordinate vanishes
-        h = 1e-6
-        steps = h * np.eye(n)
-        plus = net.forward(m.spec, m.theta, xs[:, None, :] + steps)
-        minus = net.forward(m.spec, m.theta, xs[:, None, :] - steps)
-        assert np.max(np.abs(plus - minus)) / (2 * h) <= 1e-6
         # the projection direction is a combination of the centered anchors
         w = net.unpack(m.spec, m.theta)[0][0][0][0]
         centered = xs - xs.mean(axis=0)
@@ -301,7 +268,7 @@ class TestBuildWeave:
 
     def test_t1_hypernetwork_maps_z0_to_itself(self, tmp_path):
         w = weave.build_weave(np.array([[1.0, -2.0, 3.0]]), Q=2, delta=0.5, seed=3)
-        assert w.hyper_spec.dims == (5, 5)
+        assert w.hyper_spec.dims == (6, 6)
         assert np.array_equal(net.forward(w.hyper_spec, w.hyper_theta, w.z0), w.z0)
         assert np.array_equal(weave.rollout(w, 1)[0], [1.0, -2.0, 3.0])
         serial.save_weave(str(tmp_path / "w.bin"), w)
@@ -388,6 +355,53 @@ class TestBuildWeave:
         with pytest.raises(InvalidArgumentError):
             weave.rollout(w, 0)
 
+    @pytest.mark.parametrize("T", [3, 5, 16])
+    def test_one_knot_per_anchor_along_the_clock(self, T):
+        P, Q = 7, 4
+        w = weave.build_weave(RNG(T).standard_normal((T, P)), Q=Q, delta=0.5, seed=0)
+        n = P + Q + 1
+        assert w.hyper_spec.dims == (n, 1, T - 2, n)
+        assert w.clocked and np.array_equal(w.codes[:, -1], np.arange(T) / (T - 1))
+        (A0, _, _), *_ = w.hyper_layers[0]
+        assert np.array_equal(A0, np.eye(1, n, n - 1))  # layer 0 reads the clock alone
+        assert w.aspect_bound == math.sqrt(2 + 4 * w.R ** 2) / w.delta
+
+    def test_build_never_searches_a_projection(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("build_weave searched a projection")
+
+        monkeypatch.setattr(weave, "_projection_direction", searched)
+        th = RNG(14).standard_normal((9, 5))
+        w = weave.build_weave(th, Q=4, delta=0.5, seed=0)
+        w.check_successors()
+        assert np.max(np.abs(weave.rollout(w, 9) - th)) <= 1e-12 * max(1.0, np.abs(th).max())
+
+    def test_far_offset_thetas_keep_the_clock_resolved(self):
+        # thetas near -1e15 a few units apart: layer 0's shift lifts only the
+        # clock it reads, so the clock keeps its 1/63 gaps, where a shift of
+        # ~1e15 would round them away
+        th = -1e15 + RNG(0).standard_normal((64, 5))
+        w = weave.build_weave(th, Q=6, delta=0.5)
+        assert w.hyper_layers[0][0][1][-1] == 1.0
+        w.check_successors()
+        assert np.max(np.abs(weave.rollout(w, 64) - th)) / np.abs(th).max() <= 1e-6
+
+    def test_codes_must_carry_the_clock_or_none(self):
+        w = weave.build_weave(RNG(15).standard_normal((4, 3)), Q=4, delta=0.5)
+        late = w.codes.copy()
+        late[1, -1] += 1e-12
+        with pytest.raises(InvalidArgumentError, match="clock"):
+            dataclasses.replace(w, codes=late)
+        with pytest.raises(InvalidArgumentError, match="nonempty"):
+            dataclasses.replace(w, codes=w.codes[:0])
+        # clockless codes, as saved before the clock, with a net of their width
+        spec = net.NetSpec((7, 7), "relu")
+        old = dataclasses.replace(w, codes=w.codes[:, :-1], hyper_spec=spec,
+                                  hyper_theta=np.zeros(net.param_count(spec)))
+        assert not old.clocked
+        assert old.aspect_bound == math.sqrt(1 + 4 * w.R ** 2) / w.delta
+        assert np.array_equal(old.packing.points, w.packing.points)
+
     def test_peak_memory_below_a_pairwise_broadcast(self):
         # a T x T x P difference array alone would take T^2 * P * 8 bytes
         T, P = 32, 4096
@@ -400,6 +414,38 @@ class TestBuildWeave:
             tracemalloc.stop()
         assert peak < T * T * P * 8
 
+
+
+@pytest.fixture(scope="class")
+def horizon_edge():
+    """One weave at the viable horizon's edge, P = 50 and T = 2048 =
+    floor(0.5^-11), and its build's traced peak."""
+    thetas = RNG(7).standard_normal((2048, 50))
+    tracemalloc.start()
+    try:
+        w = weave.build_weave(thetas, Q=11, delta=0.5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return thetas, w, peak
+
+
+class TestHorizonEdge:
+    def test_successor_gate_holds(self, horizon_edge):
+        _, w, _ = horizon_edge
+        assert w.hyper_spec.dims == (62, 1, 2046, 62)
+        w.check_successors()
+
+    def test_recovery(self, horizon_edge):
+        thetas, w, _ = horizon_edge
+        rec = weave.rollout(w, w.T)
+        assert np.max(np.abs(rec - thetas)) / max(1.0, np.abs(thetas).max()) <= 1e-6
+
+    def test_build_peak(self, horizon_edge):
+        # theta and the codes are 0.8 and 1 MB; the packing's candidate
+        # pools take most of the rest
+        _, _, peak = horizon_edge
+        assert peak < 24 * 2**20
 
 class TestTable2:
     @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
