@@ -110,6 +110,15 @@ def _get(cfg: dict, key, kind, default=_REQUIRED, where: str = "", low=None):
     return value
 
 
+def _train_opts(cfg: dict) -> dict:
+    """The ``train:`` mapping; training takes the top-level ``seed``."""
+    opts = _get(cfg, "train", dict, {})
+    if "seed" in opts:
+        raise ConfigError("train.seed is not read: set the top-level seed instead",
+                          field="train.seed")
+    return opts
+
+
 def _out_dir(cfg: dict) -> str:
     out = _get(cfg, "out_dir", str, None) or os.environ.get("CNOWEAVE_OUT")
     if not out:
@@ -173,7 +182,7 @@ def cmd_train_filter(cfg: dict):
     x, y = _toy_dataset(cfg, np.random.default_rng(seed))
     spec = net.NetSpec(_get(cfg, "dims", _ints),
                        _get(cfg, "activation", str, "relu"))
-    opts = {**_get(cfg, "train", dict, {}), "seed": seed}
+    opts = {**_train_opts(cfg), "seed": seed}
     theta, trace = net.train(spec, (x, y), opts)
     err = float(np.max(np.abs(net.forward(spec, theta, x) - y)))
     gate = _get(cfg, "gate", float, None)
@@ -220,7 +229,7 @@ def _construct_from_config(cfg: dict):
         delta=_get(cfg, "delta", float, 0.5),
         seed=seed,
         dims=(M,) + _get(cfg, "hidden", _ints, (16,)) + (1,),
-        train_opts=_get(cfg, "train", dict, {}),
+        train_opts=_train_opts(cfg),
     )
 
 
@@ -291,7 +300,6 @@ def cmd_weave_test(cfg: dict):
 
 def cmd_sde_bench(cfg: dict):
     seed = _get(cfg, "seed", int, 0, low=0)
-    n_modes = _get(cfg, "n_modes", int, 8, low=1)
     coeffs = sde.ou_coeffs(rate=_get(cfg, "rate", float, 1.0),
                            sigma=_get(cfg, "sigma", float, 0.5))
     n_grid = _get(cfg, "grid_steps", int, 4, low=1)
@@ -299,20 +307,18 @@ def cmd_sde_bench(cfg: dict):
     oracle = sde.McOracle(
         n_paths=_get(cfg, "n_paths", int, 4000, low=1),
         n_steps=_get(cfg, "n_steps", int, 128, low=1),
-        seed=seed,
         tamed=_get(cfg, "tamed", bool, True),
     )
     ds = sde.build_sde_dataset(
         coeffs, grid, _get(cfg, "init_box", _floats, (-1.0, 1.0)), oracle,
-        n_modes=n_modes, n_orbit_samples=_get(cfg, "n_orbit_samples", int, 24, low=1),
-        seed=seed,
+        n_modes=_get(cfg, "n_modes", int, 8, low=1),
+        n_orbit_samples=_get(cfg, "n_orbit_samples", int, 24, low=1), seed=seed,
     )
-    dim = 1 + n_modes
     model, reports = cno.construct_cno(
         ds, eps_D=_get(cfg, "eps_D", float, 0.02), eps_A=_get(cfg, "eps_A", float, 0.08),
         Q=_get(cfg, "Q", int, 4, low=1), delta=_get(cfg, "delta", float, 0.5), seed=seed,
-        dims=(dim,) + _get(cfg, "hidden", _ints, (32,)) + (dim,),
-        train_opts=_get(cfg, "train", dict, {}),
+        dims=(ds.step_dim,) + _get(cfg, "hidden", _ints, (32,)) + (ds.out_dim,),
+        train_opts=_train_opts(cfg),
     )
     lines = ["window,error,gate,shortfall"]
     for r in reports:
@@ -344,7 +350,7 @@ def cmd_compare_rnn(cfg: dict):
     report = bench.compare(
         target, eps_A=_get(cfg, "eps_A", float, 0.05),
         budgets=[_budget_entry(entries, i) for i in entries],
-        seed=seed, train_opts=_get(cfg, "train", dict, {}),
+        seed=seed, train_opts=_train_opts(cfg),
     )
     best_cno = report.best_row("cno")
     best_ffnn = report.best_row("ffnn", min_params=best_cno["params"] if best_cno else 0)

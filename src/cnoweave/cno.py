@@ -215,22 +215,23 @@ def build_window(x_path: np.ndarray, i: int, M: int, step_dim: int) -> np.ndarra
 
 
 def windows_from_paths(paths: np.ndarray, targets: np.ndarray, grid: TimeGrid,
-                       M: int, step_dim: int, out_spaces=None) -> CausalDataset:
+                       M: int, step_dim: int) -> CausalDataset:
     """Assemble a CausalDataset from whole paths and per-step targets.
 
     ``paths`` is (n_samples, n_steps, step_dim) (or 2-D for scalar steps) and
     ``targets`` is (n_samples, n_steps, out_dim) (or 2-D for scalar outputs).
     """
-    inputs = _windows(_as_paths(paths, step_dim), M)
+    paths = _as_paths(paths, step_dim)
     targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim not in (2, 3) or targets.shape[:2] != paths.shape[:2]:
+        raise InvalidArgumentError(f"targets of shape {targets.shape} do not match the "
+                                   f"paths' (n_samples, n_steps) = {paths.shape[:2]}")
     if targets.ndim == 2:
         targets = targets[:, :, None]
+    inputs = _windows(paths, M)
     windows = [{"inputs": inputs[:, i], "targets": targets[:, i, :]}
                for i in range(inputs.shape[1])]
-    return CausalDataset(
-        grid=grid, M=M, step_dim=step_dim, windows=windows,
-        out_spaces=list(out_spaces or []),
-    )
+    return CausalDataset(grid=grid, M=M, step_dim=step_dim, windows=windows)
 
 
 def _window_seed(master: int, i: int) -> int:

@@ -13,12 +13,14 @@ The solve operator maps eta at time t_i to the terminal value at t_{i+1} of
 
     dX = drift(t, X) dt + diffusion(t, X) dB,   X_{t_i} = eta
 
-estimated by (tamed) Euler-Maruyama on recorded Brownian increments; the same
-increments synthesize eta and drive the SDE, and mode integrals are left-point
-sums on those increments, so projection and synthesis are mutually consistent.
-The orbit dataset draws one step-major Brownian record per orbit over
-[0, t_end], seeded (seed * 2654435761 + orbit * 40503) mod (2^31 - 1), and
-every step of that orbit reads its prefix of the record.
+estimated by (tamed) Euler-Maruyama on a Brownian record the caller passes in;
+the same increments synthesize eta and drive the SDE, and mode integrals are
+left-point sums on them (l steps resolve l - 1 + l mod 2 modes), so projection
+and synthesis are mutually consistent.  The orbit dataset draws one step-major
+record per orbit over [0, t_end], seeded (seed * 2654435761 + orbit * 40503)
+mod (2^31 - 1), and walks it once: each step runs Euler, takes the prefix's
+mode integrals once, projects onto the modes it resolves, and starts the next
+step from that projection on those same integrals.
 Only chaos orders 0 and 1 are implemented; that already spans Gaussian
 solution maps such as Ornstein-Uhlenbeck.
 """
@@ -38,7 +40,6 @@ __all__ = [
     "SdeCoeffs",
     "ChaosCoords",
     "McOracle",
-    "SdeResult",
     "ChaosProjection",
     "ou_coeffs",
     "chaos_mode",
@@ -119,8 +120,8 @@ class ChaosCoords:
 @dataclass(frozen=True)
 class McOracle:
     """Monte Carlo configuration; ``n_steps`` is the Euler resolution per unit
-    time, and a fixed seed makes every simulation deterministic (common random
-    numbers across compared inputs)."""
+    time, and ``seed`` seeds the one record ``lipschitz_check`` draws (common
+    random numbers across its pairs)."""
 
     n_paths: int = 10_000
     n_steps: int = 256
@@ -164,6 +165,11 @@ def chaos_mode(k: int, t: float, s):
     return math.sqrt(2.0 / t) * np.cos(2.0 * j * math.pi * s / t)
 
 
+def _resolved_modes(l: int) -> int:
+    """Modes l left-point steps resolve: at even l, sine mode l is 0 at each."""
+    return l - 1 + l % 2
+
+
 def mode_integrals(dB: np.ndarray, dt: float, t: float, n_modes: int) -> np.ndarray:
     """xi_k = sum_l phi_k(s_l) dB_l over [0, t] (left-point sums); (n_paths, n_modes)."""
     l = int(round(t / dt))
@@ -171,9 +177,9 @@ def mode_integrals(dB: np.ndarray, dt: float, t: float, n_modes: int) -> np.ndar
         raise InvalidArgumentError("horizon shorter than one step")
     if l > dB.shape[1]:
         raise InvalidArgumentError("not enough recorded increments for the horizon")
-    if n_modes > l:
+    if n_modes > _resolved_modes(l):
         raise InvalidArgumentError(
-            f"n_modes={n_modes} exceeds the increment resolution {l}"
+            f"n_modes={n_modes} exceeds the {_resolved_modes(l)} modes {l} steps resolve"
         )
     s = dt * np.arange(l)
     basis = np.stack([chaos_mode(k, t, s) for k in range(1, n_modes + 1)])
@@ -188,50 +194,25 @@ def synthesize_eta(coords: ChaosCoords, dB: np.ndarray, dt: float) -> np.ndarray
     return coords.mean + xi @ coords.coeffs
 
 
-@dataclass(frozen=True)
-class SdeResult:
-    """Terminal samples plus the increments that produced them."""
-
-    endpoints: np.ndarray  # (n_paths,)
-    dB: np.ndarray  # (n_paths, total_steps)
-    dt: float
-    t_start: float
-    t_end: float
-
-
 def _draw_increments(o: McOracle, l_total: int) -> np.ndarray:
     rng = np.random.default_rng(o.seed)
     return rng.standard_normal((o.n_paths, l_total)) * math.sqrt(o.dt)
 
 
-def sde_solve_mc(c: SdeCoeffs, eta: ChaosCoords, t_i: float, t_ip1: float,
-                 o: McOracle, dB: np.ndarray | None = None) -> SdeResult:
-    """Euler-Maruyama (tamed when flagged) from eta at t_i to t_{i+1}.
-
-    eta is synthesized from its coordinates using the same Brownian record
-    that later drives the SDE, so repeated calls with one oracle share paths.
-    ``dB`` is a recorded (n_paths, >= grid_index(t_ip1)) array of increments
-    to use instead of the oracle's own draw; its prefix up to t_ip1 is read.
-    """
+def _solve_steps(eta: ChaosCoords, t_i: float, t_ip1: float, o: McOracle):
     if not t_i < t_ip1:
         raise InvalidArgumentError(f"need t_i < t_ip1, got {t_i} >= {t_ip1}")
     if eta.horizon != t_i:
         raise InvalidArgumentError(
             f"eta horizon {eta.horizon} must equal the start time {t_i}"
         )
-    l0 = o.grid_index(t_i)
-    l1 = o.grid_index(t_ip1)
-    if dB is None:
-        dB = _draw_increments(o, l1)
-    elif dB.ndim != 2 or dB.shape[0] != o.n_paths or dB.shape[1] < l1:
-        raise InvalidArgumentError(
-            f"recorded increments of shape {dB.shape} do not cover "
-            f"({o.n_paths}, {l1}) = (n_paths, steps to t_ip1)"
-        )
-    else:
-        dB = dB[:, :l1]
+    return o.grid_index(t_i), o.grid_index(t_ip1)
+
+
+def _euler(c: SdeCoeffs, X: np.ndarray, dB: np.ndarray, l0: int, l1: int,
+           o: McOracle) -> np.ndarray:
+    """Euler-Maruyama (tamed when flagged) from X over steps [l0, l1) of dB."""
     dt = o.dt
-    X = synthesize_eta(eta, dB, dt)
     for l in range(l0, l1):
         t = l * dt
         a = np.asarray(c.drift(t, X), dtype=np.float64)
@@ -241,7 +222,23 @@ def sde_solve_mc(c: SdeCoeffs, eta: ChaosCoords, t_i: float, t_ip1: float,
         X = X + a * dt + b * dB[:, l]
         if not np.all(np.isfinite(X)):
             raise OracleDivergedError("simulation produced non-finite values", step=l)
-    return SdeResult(endpoints=X, dB=dB, dt=dt, t_start=t_i, t_end=t_ip1)
+    return X
+
+
+def sde_solve_mc(c: SdeCoeffs, eta: ChaosCoords, t_i: float, t_ip1: float,
+                 o: McOracle, dB: np.ndarray) -> np.ndarray:
+    """(n_paths,) Euler-Maruyama endpoints (tamed when flagged) from eta at t_i
+    to t_{i+1}.  ``dB`` is a recorded (n_paths, >= grid_index(t_ip1)) array of
+    Brownian increments: eta is synthesized on it and its prefix up to t_ip1
+    drives the SDE, so solves on one record share paths.
+    """
+    l0, l1 = _solve_steps(eta, t_i, t_ip1, o)
+    if dB.ndim != 2 or dB.shape[0] != o.n_paths or dB.shape[1] < l1:
+        raise InvalidArgumentError(
+            f"recorded increments of shape {dB.shape} do not cover "
+            f"({o.n_paths}, {l1}) = (n_paths, steps to t_ip1)"
+        )
+    return _euler(c, synthesize_eta(eta, dB, o.dt), dB, l0, l1, o)
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,13 @@ class ChaosProjection:
     coords: ChaosCoords
     residual: float
     se_mean: float
+
+
+def _chaos_coeffs(samples: np.ndarray, xi: np.ndarray):
+    """(mean, coeffs) of samples against their mode integrals xi."""
+    mean = float(samples.mean())
+    denom = np.mean(xi * xi, axis=0)
+    return mean, ((samples - mean) @ xi) / len(samples) / denom
 
 
 def project_chaos(samples: np.ndarray, brownian_record, t: float,
@@ -264,12 +268,8 @@ def project_chaos(samples: np.ndarray, brownian_record, t: float,
     dB, dt = brownian_record
     samples = np.asarray(samples, dtype=np.float64)
     xi = mode_integrals(dB, dt, t, n_modes)
-    mean = float(samples.mean())
-    centered = samples - mean
-    denom = np.mean(xi * xi, axis=0)
-    coeffs = (centered @ xi) / len(samples) / denom
-    resid_paths = centered - xi @ coeffs
-    residual = float(np.mean(resid_paths ** 2))
+    mean, coeffs = _chaos_coeffs(samples, xi)
+    residual = float(np.mean((samples - mean - xi @ coeffs) ** 2))
     se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     return ChaosProjection(
         coords=ChaosCoords(mean=mean, coeffs=coeffs, horizon=t),
@@ -290,15 +290,15 @@ def lipschitz_check(c: SdeCoeffs, pairs, t_i: float, t_ip1: float, o: McOracle) 
     dB = _draw_increments(o, o.grid_index(t_ip1))
     ratios = []
     for eta_a, eta_b in pairs:
-        res_a = sde_solve_mc(c, eta_a, t_i, t_ip1, o, dB=dB)
-        res_b = sde_solve_mc(c, eta_b, t_i, t_ip1, o, dB=dB)
-        eta_a_paths = synthesize_eta(eta_a, dB, o.dt)
-        eta_b_paths = synthesize_eta(eta_b, dB, o.dt)
-        den = math.sqrt(float(np.mean((eta_a_paths - eta_b_paths) ** 2)))
+        l0, l1 = _solve_steps(eta_a, t_i, t_ip1, o)
+        _solve_steps(eta_b, t_i, t_ip1, o)
+        x_a = synthesize_eta(eta_a, dB, o.dt)
+        x_b = synthesize_eta(eta_b, dB, o.dt)
+        den = math.sqrt(float(np.mean((x_a - x_b) ** 2)))
         if den == 0.0:
             continue  # degenerate pair
-        num = math.sqrt(float(np.mean((res_a.endpoints - res_b.endpoints) ** 2)))
-        ratios.append(num / den)
+        gap = _euler(c, x_a, dB, l0, l1, o) - _euler(c, x_b, dB, l0, l1, o)
+        ratios.append(math.sqrt(float(np.mean(gap ** 2))) / den)
     max_ratio = max(ratios) if ratios else 0.0
     return {
         "max_ratio": max_ratio,
@@ -314,9 +314,10 @@ def build_sde_dataset(c: SdeCoeffs, grid: TimeGrid, init_box, o: McOracle,
 
     Each orbit starts from a constant variable with mean drawn uniformly from
     ``init_box = (lo, hi)`` at t=0; every step solves by MC and projects the
-    endpoint back to chaos coordinates at the new horizon.  Window j pairs the
-    coordinates at t_j with those at t_{j+1}; all windows share the coordinate
-    dimension 1 + n_modes (a horizon-0 variable just has zero chaos part).
+    endpoint back to chaos coordinates at the new horizon, on the modes its
+    steps resolve.  Window j pairs the coordinates at t_j with those at
+    t_{j+1}; all share the dimension 1 + n_modes, zero-padded (a horizon-0
+    variable has zero chaos part).
 
     Orbit s draws one step-major Brownian record over [0, t_end] from the
     seed (seed * 2654435761 + s * 40503) mod (2^31 - 1), and every step of the
@@ -331,37 +332,28 @@ def build_sde_dataset(c: SdeCoeffs, grid: TimeGrid, init_box, o: McOracle,
     times = grid.times
     if len(times) < 2:
         raise InvalidArgumentError("grid needs at least two times")
-    rng = np.random.default_rng(seed)
-    means0 = rng.uniform(lo, hi, size=n_orbit_samples)
-    dim = 1 + n_modes
-    inputs = [np.zeros((n_orbit_samples, dim)) for _ in range(len(times) - 1)]
-    targets = [np.zeros((n_orbit_samples, dim)) for _ in range(len(times) - 1)]
-    # step-major, so rec.T is (n_paths, steps) with contiguous Euler columns
-    rec = np.empty((o.grid_index(float(times[-1])), o.n_paths))
-    sqrt_dt = math.sqrt(o.dt)
+    ends = [o.grid_index(float(t)) for t in times]
+    # coords[j, s] is orbit s at t_j: [mean, coeffs..., zeros for unresolved modes]
+    coords = np.zeros((len(times), n_orbit_samples, 1 + n_modes))
+    coords[0, :, 0] = np.random.default_rng(seed).uniform(lo, hi, size=n_orbit_samples)
+    # step-major, so dB = rec.T is (n_paths, steps) with contiguous Euler columns
+    dB = np.empty((ends[-1], o.n_paths)).T
     for s in range(n_orbit_samples):
         orbit_seed = (seed * 2_654_435_761 + s * 40_503) % (2 ** 31 - 1)
-        np.random.default_rng(orbit_seed).standard_normal(out=rec)
-        rec *= sqrt_dt  # in place: a scaled copy would double the peak
-        coords = ChaosCoords(mean=float(means0[s]), coeffs=np.zeros(0), horizon=0.0)
-        for j in range(len(times) - 1):
-            t_j, t_jp1 = float(times[j]), float(times[j + 1])
-            full = np.zeros(dim)
-            full[: 1 + coords.n_modes] = coords.as_vector()
-            inputs[j][s] = full
-            res = sde_solve_mc(c, coords, t_j, t_jp1, o, dB=rec.T)
-            modes_here = min(n_modes, o.grid_index(t_jp1))
-            proj = project_chaos(res.endpoints, (res.dB, res.dt), t_jp1, modes_here)
-            nxt = np.zeros(dim)
-            nxt[: 1 + modes_here] = proj.coords.as_vector()
-            targets[j][s] = nxt
-            coords = ChaosCoords(mean=nxt[0], coeffs=nxt[1:], horizon=t_jp1)
-    out_spaces = [
-        spaces.chaos_l2(n_modes, float(times[j + 1])) for j in range(len(times) - 1)
-    ]
-    windows = [
-        {"inputs": inputs[j], "targets": targets[j]} for j in range(len(times) - 1)
-    ]
+        np.random.default_rng(orbit_seed).standard_normal(out=dB.T)
+        dB *= math.sqrt(o.dt)  # in place: a scaled copy would double the peak
+        X = np.full(o.n_paths, coords[0, s, 0])
+        for j in range(1, len(times)):
+            X = _euler(c, X, dB, ends[j - 1], ends[j], o)
+            k = min(n_modes, _resolved_modes(ends[j]))
+            xi = mode_integrals(dB, o.dt, float(times[j]), k)
+            mean, coeffs = _chaos_coeffs(X, xi)
+            coords[j, s, 0] = mean
+            coords[j, s, 1:1 + k] = coeffs
+            X = mean + xi @ coeffs  # the next step starts from the projection
+            del xi  # not held through the next step's Euler loop
+    out_spaces = [spaces.chaos_l2(n_modes, float(t)) for t in times[1:]]
+    windows = [{"inputs": a, "targets": b} for a, b in zip(coords, coords[1:])]
     return CausalDataset(
-        grid=grid, M=1, step_dim=dim, windows=windows, out_spaces=out_spaces,
+        grid=grid, M=1, step_dim=1 + n_modes, windows=windows, out_spaces=out_spaces,
     )

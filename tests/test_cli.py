@@ -234,6 +234,22 @@ class TestBadConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("train-filter", {"dims": [1, 4, 1]}),
+        ("construct", {"T": 2, "M": 2, "n_train": 16, "hidden": [4]}),
+        ("sde-bench", {"n_paths": 20, "n_steps": 8, "n_modes": 1, "n_orbit_samples": 2}),
+        ("compare-rnn", {"T": 2, "budgets": [{"kind": "ffnn", "dims": [2, 4, 1]},
+                                             {"kind": "cno", "dims": [4]}]}),
+    ])
+    def test_train_seed_is_2_and_points_at_the_top_level_seed(self, tmp_path, capsys,
+                                                              command, cfg):
+        # every command seeds training from the top-level seed; train.seed was ignored
+        path = write_cfg(tmp_path, "c.yaml", {**cfg, "train": {"epochs": 1, "seed": 2},
+                                              "out_dir": str(tmp_path / "o")})
+        assert run([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "train.seed" in err and "top-level seed" in err
+
     def test_non_utf8_config_is_2(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_bytes(b"seed: \xff\xfe\n")

@@ -80,6 +80,15 @@ class TestWindowContract:
                                           cno.build_window(paths[s], i, M, step_dim))
         assert longer_memory > 0
 
+    @pytest.mark.parametrize("targets_shape", [(3, 4), (3, 6), (2, 5), (3, 5, 1, 1), (3,)])
+    def test_targets_must_match_the_paths(self, targets_shape):
+        # fewer target steps than path steps used to raise a raw IndexError
+        grid = cno.TimeGrid(np.arange(5, dtype=np.float64))
+        with pytest.raises(InvalidArgumentError, match=r"\(3, 5\)") as info:
+            cno.windows_from_paths(np.zeros((3, 5)), np.zeros(targets_shape), grid,
+                                   M=2, step_dim=1)
+        assert str(targets_shape) in str(info.value)
+
     def test_predict_on_a_training_path_is_the_window_forward(self):
         rng = RNG(8)
         T, M, step_dim = 4, 3, 3

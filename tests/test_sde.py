@@ -54,6 +54,14 @@ class TestModes:
         with pytest.raises(InvalidArgumentError):
             sde.mode_integrals(np.zeros((10, 4)), 0.25, 1.0, 5)
 
+    @pytest.mark.parametrize("l, resolved", [(1, 1), (2, 1), (3, 3), (4, 3), (5, 5)])
+    def test_grid_degenerate_sine_mode_rejected(self, l, resolved):
+        # at even l, sine mode l is sin(pi m) = 0 at every left point m / l
+        dB = RNG(0).standard_normal((50, l))
+        assert sde.mode_integrals(dB, 1.0 / l, 1.0, resolved).shape == (50, resolved)
+        with pytest.raises(InvalidArgumentError, match=f"{resolved} modes {l} steps"):
+            sde.mode_integrals(dB, 1.0 / l, 1.0, resolved + 1)
+
 
 class TestSolve:
     def test_grid_index_validates(self):
@@ -67,17 +75,18 @@ class TestSolve:
         c = sde.ou_coeffs(rate=1.0, sigma=0.5)
         eta = sde.ChaosCoords(mean=2.0, coeffs=np.zeros(0), horizon=0.0)
         o = sde.McOracle(n_paths=20_000, n_steps=256, seed=1)
-        res = sde.sde_solve_mc(c, eta, 0.0, 1.0, o)
+        ends = sde.sde_solve_mc(c, eta, 0.0, 1.0, o, sde._draw_increments(o, 256))
         expect = 2.0 * math.exp(-1.0)
-        se = res.endpoints.std(ddof=1) / math.sqrt(o.n_paths)
+        se = ends.std(ddof=1) / math.sqrt(o.n_paths)
         # allow Euler bias on top of MC noise
-        assert abs(res.endpoints.mean() - expect) <= 5 * se + 5e-3
+        assert abs(ends.mean() - expect) <= 5 * se + 5e-3
 
     def test_horizon_mismatch_rejected(self):
         c = sde.ou_coeffs()
         eta = sde.ChaosCoords(mean=0.0, coeffs=np.zeros(0), horizon=0.0)
+        o = sde.McOracle(n_steps=4)
         with pytest.raises(InvalidArgumentError):
-            sde.sde_solve_mc(c, eta, 0.25, 0.5, sde.McOracle(n_steps=4))
+            sde.sde_solve_mc(c, eta, 0.25, 0.5, o, sde._draw_increments(o, 2))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_is_typed(self):
@@ -86,31 +95,26 @@ class TestSolve:
         eta = sde.ChaosCoords(mean=1e300, coeffs=np.zeros(0), horizon=0.0)
         o = sde.McOracle(n_paths=10, n_steps=4, seed=0, tamed=False)
         with pytest.raises(OracleDivergedError):
-            sde.sde_solve_mc(c, eta, 0.0, 1.0, o)
+            sde.sde_solve_mc(c, eta, 0.0, 1.0, o, sde._draw_increments(o, 4))
 
     def test_common_random_numbers(self):
         c = sde.ou_coeffs()
         o = sde.McOracle(n_paths=100, n_steps=16, seed=7)
         eta = sde.ChaosCoords(mean=1.0, coeffs=np.zeros(0), horizon=0.0)
-        r1 = sde.sde_solve_mc(c, eta, 0.0, 0.5, o)
-        r2 = sde.sde_solve_mc(c, eta, 0.0, 0.5, o)
-        assert np.array_equal(r1.endpoints, r2.endpoints)
-        assert np.array_equal(r1.dB, r2.dB)
+        dB = sde._draw_increments(o, 8)
+        r1 = sde.sde_solve_mc(c, eta, 0.0, 0.5, o, dB)
+        r2 = sde.sde_solve_mc(c, eta, 0.0, 0.5, o, dB)
+        assert r1.shape == (100,)
+        assert np.array_equal(r1, r2)
 
-    def test_recorded_increments_match_the_own_draw(self):
+    def test_longer_record_read_to_t_ip1(self):
         c = sde.ou_coeffs()
         o = sde.McOracle(n_paths=300, n_steps=16, seed=7)
         eta = sde.ChaosCoords(mean=0.4, coeffs=np.array([0.3, -0.2]), horizon=0.25)
-        own = sde.sde_solve_mc(c, eta, 0.25, 0.5, o)
-        given = sde.sde_solve_mc(c, eta, 0.25, 0.5, o, dB=sde._draw_increments(o, 8))
-        assert np.array_equal(given.endpoints, own.endpoints)
-        assert np.array_equal(given.dB, own.dB)
-        # a longer record is read up to t_ip1 only
         long = RNG(1).standard_normal((300, 16)) * math.sqrt(o.dt)
         full = sde.sde_solve_mc(c, eta, 0.25, 0.5, o, dB=long)
         prefix = sde.sde_solve_mc(c, eta, 0.25, 0.5, o, dB=long[:, :8].copy())
-        assert np.array_equal(full.endpoints, prefix.endpoints)
-        assert full.dB.shape == (300, 8)
+        assert np.array_equal(full, prefix)
 
     @pytest.mark.parametrize("shape", [(299, 8), (300, 7), (300,)])
     def test_recorded_increments_validated(self, shape):
@@ -182,21 +186,32 @@ class TestLipschitz:
             for _ in range(4)
         ]
         direct = []
-        for eta_a, eta_b in pairs:  # each solve draws its own record
-            res_a = sde.sde_solve_mc(c, eta_a, 0.25, 0.5, o)
-            res_b = sde.sde_solve_mc(c, eta_b, 0.25, 0.5, o)
+        for eta_a, eta_b in pairs:  # each pair on a fresh draw of the oracle's record
+            dB = sde._draw_increments(o, 16)
+            ends_a = sde.sde_solve_mc(c, eta_a, 0.25, 0.5, o, dB)
+            ends_b = sde.sde_solve_mc(c, eta_b, 0.25, 0.5, o, dB)
             den = math.sqrt(float(np.mean(
-                (sde.synthesize_eta(eta_a, res_a.dB, res_a.dt)
-                 - sde.synthesize_eta(eta_b, res_b.dB, res_b.dt)) ** 2)))
-            num = math.sqrt(float(np.mean((res_a.endpoints - res_b.endpoints) ** 2)))
+                (sde.synthesize_eta(eta_a, dB, o.dt)
+                 - sde.synthesize_eta(eta_b, dB, o.dt)) ** 2)))
+            num = math.sqrt(float(np.mean((ends_a - ends_b) ** 2)))
             direct.append(num / den)
-        draws = []
-        real = sde._draw_increments
+        draws, synthesized = [], []
+        real_draw, real_synth = sde._draw_increments, sde.synthesize_eta
         monkeypatch.setattr(sde, "_draw_increments",
-                            lambda *a: draws.append(a) or real(*a))
+                            lambda *a: draws.append(a) or real_draw(*a))
+        monkeypatch.setattr(sde, "synthesize_eta",
+                            lambda eta, *a: synthesized.append(eta) or real_synth(eta, *a))
         out = sde.lipschitz_check(c, pairs, 0.25, 0.5, o)
         assert out["ratios"] == direct
         assert len(draws) == 1
+        assert synthesized == [eta for pair in pairs for eta in pair]  # each once
+
+    def test_horizon_checked_on_degenerate_pairs(self):
+        c = sde.ou_coeffs()
+        o = sde.McOracle(n_paths=100, n_steps=8, seed=0)
+        eta = sde.ChaosCoords(mean=1.0, coeffs=np.zeros(0), horizon=0.0)
+        with pytest.raises(InvalidArgumentError, match="start time 0.25"):
+            sde.lipschitz_check(c, [(eta, eta)], 0.25, 0.5, o)
 
 
 class TestGrowthRatio:
@@ -275,8 +290,8 @@ class TestDataset:
         orbit_seed = (seed * 2_654_435_761 + s * 40_503) % (2 ** 31 - 1)
         rec = RNG(orbit_seed).standard_normal((8, 300)) * math.sqrt(o.dt)
         eta = sde.ChaosCoords(mean=mean0, coeffs=np.zeros(0), horizon=0.0)
-        res = sde.sde_solve_mc(c, eta, 0.0, 0.25, o, dB=rec.T)
-        proj = sde.project_chaos(res.endpoints, (res.dB, res.dt), 0.25, 2)
+        ends = sde.sde_solve_mc(c, eta, 0.0, 0.25, o, dB=rec.T)
+        proj = sde.project_chaos(ends, (rec.T, o.dt), 0.25, 2)
         assert np.array_equal(ds.windows[0]["targets"][s], proj.coords.as_vector())
 
     def test_memory_is_one_record(self):
@@ -293,3 +308,56 @@ class TestDataset:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * record_bytes
+
+    @pytest.mark.parametrize("n_steps", [16, 24])
+    def test_every_window_is_the_public_walk(self, n_steps):
+        # each step: sde_solve_mc from the last projection, then project_chaos
+        # onto the modes the step resolves, on the orbit's one record
+        c = sde.ou_coeffs()
+        o = sde.McOracle(n_paths=300, n_steps=n_steps, seed=0)
+        times = 0.25 * np.arange(5)
+        seed, n_modes, orbits = 4, 5, 3
+        ds = sde.build_sde_dataset(c, cno.TimeGrid(times), (-1.0, 1.0), o,
+                                   n_modes, orbits, seed=seed)
+        means0 = RNG(seed).uniform(-1.0, 1.0, size=orbits)
+        for s in range(orbits):
+            orbit_seed = (seed * 2_654_435_761 + s * 40_503) % (2 ** 31 - 1)
+            rec = RNG(orbit_seed).standard_normal((n_steps, 300)) * math.sqrt(o.dt)
+            eta = sde.ChaosCoords(mean=means0[s], coeffs=np.zeros(0), horizon=0.0)
+            prev = np.zeros(1 + n_modes)
+            prev[0] = means0[s]
+            for j, w in enumerate(ds.windows):
+                t0, t1 = float(times[j]), float(times[j + 1])
+                l = o.grid_index(t1)
+                k = min(n_modes, l - 1 + l % 2)
+                ends = sde.sde_solve_mc(c, eta, t0, t1, o, rec.T)
+                eta = sde.project_chaos(ends, (rec.T, o.dt), t1, k).coords
+                want = np.zeros(1 + n_modes)
+                want[:1 + k] = eta.as_vector()
+                assert np.array_equal(w["inputs"][s], prev), (s, j)
+                assert np.array_equal(w["targets"][s], want), (s, j)
+                prev = want
+
+    def test_one_mode_integral_pass_per_step(self, monkeypatch):
+        calls = []
+        real = sde.mode_integrals
+        monkeypatch.setattr(sde, "mode_integrals",
+                            lambda *a: calls.append(a[2:]) or real(*a))
+        o = sde.McOracle(n_paths=200, n_steps=16, seed=0)
+        sde.build_sde_dataset(sde.ou_coeffs(), cno.TimeGrid(0.25 * np.arange(5)),
+                              (-1.0, 1.0), o, 2, 3, seed=9)
+        assert calls == [(0.25, 2), (0.5, 2), (0.75, 2), (1.0, 2)] * 3
+
+    @pytest.mark.parametrize("times, ks", [
+        (0.25 * np.arange(5), (3, 7, 8, 8)),  # 4, 8, 12, 16 steps resolve 3, 7, 11, 15
+        (np.array([0.0, 0.25]), (3,)),  # sine mode 4 vanishes at 4 left points
+    ])
+    def test_coarse_steps_cap_the_modes(self, times, ks):
+        o = sde.McOracle(n_paths=2_000, n_steps=16, seed=0)
+        ds = sde.build_sde_dataset(sde.ou_coeffs(), cno.TimeGrid(times), (-1.0, 1.0), o,
+                                   8, 4, seed=0)
+        for w, k in zip(ds.windows, ks, strict=True):
+            targets = w["targets"]
+            assert np.all(targets[:, 1 + k:] == 0.0)
+            assert np.all(targets[:, k] != 0.0)
+            assert np.max(np.abs(targets[:, 1:])) < 5.0
