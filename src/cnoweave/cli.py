@@ -309,17 +309,20 @@ def cmd_sde_bench(cfg: dict):
         n_steps=_get(cfg, "n_steps", int, 128, low=1),
         tamed=_get(cfg, "tamed", bool, True),
     )
+    # the training fields are read before the Monte Carlo build, so a bad one fails fast
+    hidden = _get(cfg, "hidden", _ints, (32,))
+    construct = dict(
+        eps_D=_get(cfg, "eps_D", float, 0.02), eps_A=_get(cfg, "eps_A", float, 0.08),
+        Q=_get(cfg, "Q", int, 4, low=1), delta=_get(cfg, "delta", float, 0.5), seed=seed,
+        train_opts=_train_opts(cfg),
+    )
     ds = sde.build_sde_dataset(
         coeffs, grid, _get(cfg, "init_box", _floats, (-1.0, 1.0)), oracle,
         n_modes=_get(cfg, "n_modes", int, 8, low=1),
         n_orbit_samples=_get(cfg, "n_orbit_samples", int, 24, low=1), seed=seed,
     )
     model, reports = cno.construct_cno(
-        ds, eps_D=_get(cfg, "eps_D", float, 0.02), eps_A=_get(cfg, "eps_A", float, 0.08),
-        Q=_get(cfg, "Q", int, 4, low=1), delta=_get(cfg, "delta", float, 0.5), seed=seed,
-        dims=(ds.step_dim,) + _get(cfg, "hidden", _ints, (32,)) + (ds.out_dim,),
-        train_opts=_train_opts(cfg),
-    )
+        ds, dims=(ds.step_dim,) + hidden + (ds.out_dim,), **construct)
     lines = ["window,error,gate,shortfall"]
     for r in reports:
         lines.append(f"{r.index},{r.error:.10g},{r.gate:.10g},{int(r.shortfall)}")

@@ -5,9 +5,9 @@ time t is represented (to first chaos order) as
 
     eta = mean + integral_0^t g dB,    g = sum_k coeffs_k phi_k
 
-where (phi_k) is the orthonormalized sine/cosine basis of L^2([0, t]).  The
-second moment is then exactly mean^2 + |coeffs|^2 (Ito isometry), which the
-tests check by Monte Carlo.
+where (phi_k) is the orthonormal trigonometric basis of L^2([0, t]),
+:func:`spaces.trig_mode`.  The second moment is then exactly
+mean^2 + |coeffs|^2 (Ito isometry), which the tests check by Monte Carlo.
 
 The solve operator maps eta at time t_i to the terminal value at t_{i+1} of
 
@@ -42,7 +42,6 @@ __all__ = [
     "McOracle",
     "ChaosProjection",
     "ou_coeffs",
-    "chaos_mode",
     "mode_integrals",
     "synthesize_eta",
     "sde_solve_mc",
@@ -145,26 +144,6 @@ class McOracle:
         return int(idx)
 
 
-def chaos_mode(k: int, t: float, s):
-    """k-th mode of the orthonormal trigonometric basis of L^2([0, t]).
-
-    Mode 1 is the constant 1/sqrt(t); modes 2j and 2j+1 are
-    sqrt(2/t) sin(2 pi j s / t) and sqrt(2/t) cos(2 pi j s / t).  Unlike the
-    half-range system used for plain function approximation, this full-range
-    system is genuinely orthonormal, which is what makes the Ito isometry
-    E[eta^2] = mean^2 + |coeffs|^2 exact.
-    """
-    if t <= 0:
-        raise InvalidArgumentError("modes need a positive horizon")
-    s = np.asarray(s, dtype=np.float64)
-    if k == 1:
-        return math.sqrt(1.0 / t) * np.ones_like(s)
-    j = k // 2
-    if k % 2 == 0:
-        return math.sqrt(2.0 / t) * np.sin(2.0 * j * math.pi * s / t)
-    return math.sqrt(2.0 / t) * np.cos(2.0 * j * math.pi * s / t)
-
-
 def _resolved_modes(l: int) -> int:
     """Modes l left-point steps resolve: at even l, sine mode l is 0 at each."""
     return l - 1 + l % 2
@@ -182,7 +161,7 @@ def mode_integrals(dB: np.ndarray, dt: float, t: float, n_modes: int) -> np.ndar
             f"n_modes={n_modes} exceeds the {_resolved_modes(l)} modes {l} steps resolve"
         )
     s = dt * np.arange(l)
-    basis = np.stack([chaos_mode(k, t, s) for k in range(1, n_modes + 1)])
+    basis = np.stack([spaces.trig_mode(k, t, s) for k in range(1, n_modes + 1)])
     return dB[:, :l] @ basis.T
 
 

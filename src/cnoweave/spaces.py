@@ -5,20 +5,19 @@ Four instances are provided:
 * ``euclidean(dim)`` — R^dim with the standard basis and the single norm |.|_2.
 * ``weighted_sequence()`` — finitely supported coordinate sequences with the
   increasing seminorm family p_k(x) = max_{j<=k} |x_j|.
-* ``fourier_l2(horizon)`` — L^2([0, t]) with the sine/cosine basis
-  f_{2j-1}(s) = sqrt(2/t) sin(j pi s / t), f_{2j}(s) = sqrt(2/t) cos((j-1) pi s / t);
-  the j=1 cosine mode is the constant sqrt(2/t), whose squared L^2 norm is 2
-  (the basis is orthogonal, not orthonormal, and projection divides by the
-  basis norms accordingly).
+* ``fourier_l2(horizon)`` — L^2([0, t]) with the orthonormal trigonometric
+  basis of :func:`trig_mode`: f_1 = 1/sqrt(t), f_{2j}(s) = sqrt(2/t) sin(2 pi j s / t),
+  f_{2j+1}(s) = sqrt(2/t) cos(2 pi j s / t).  Projection is an inner product
+  with each mode, and by Parseval the coordinate 2-norm is the L^2 norm.
 * ``chaos_l2(mode_count, horizon)`` — first-order chaos coordinates
-  (mean, stochastic-integral coefficients) of square-integrable variables;
-  here the integrand modes are *normalized*, so the second moment is exactly
+  (mean, stochastic-integral coefficients) of square-integrable variables,
+  the integrands expanded in the same modes, so the second moment is exactly
   mean^2 + |coeffs|^2.
 
 The metric is the weighted series  d(x, y) = sum_k 2^{-k} Phi(p_k(x - y)) with
-Phi(u) = u / (1 + u).  Banach instances have a single (semi)norm, so the
-series is the single term 2^{-1} Phi(|x - y|); the sequence space sums the
-series to ``k_max`` terms with tail bound 2^{-k_max}.
+Phi(u) = u / (1 + u).  Banach instances have a single norm, the coordinate
+2-norm, so the series is the single term 2^{-1} Phi(|x - y|); the sequence
+space sums the series to ``k_max`` terms with tail bound 2^{-k_max}.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
     "weighted_sequence",
     "fourier_l2",
     "chaos_l2",
+    "trig_mode",
     "phi",
     "project",
     "reconstruct",
@@ -48,6 +48,7 @@ __all__ = [
 
 K_MAX_DEFAULT = 64
 QUADRATURE_POINTS = 1024
+KINDS = ("euclidean", "weighted_sequence", "fourier_l2", "chaos_l2")
 
 
 def phi(u):
@@ -59,11 +60,15 @@ def phi(u):
 class SchauderSpace:
     """A concrete space instance; immutable and freely shareable."""
 
-    kind: str  # "euclidean" | "weighted_sequence" | "fourier_l2" | "chaos_l2"
+    kind: str  # one of KINDS
     dim: int = 0  # euclidean only
     horizon: float = 0.0  # fourier_l2 / chaos_l2
     mode_count: int = 0  # chaos_l2 only
     k_max: int = K_MAX_DEFAULT
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidArgumentError(f"unknown space kind {self.kind!r}")
 
     def coord_dim(self):
         """Natural coordinate dimension, or None when unbounded."""
@@ -153,22 +158,27 @@ class FourierFunction:
         out = np.zeros_like(s, dtype=np.float64)
         for k, ck in enumerate(self.coeffs, start=1):
             if ck != 0.0:
-                out = out + ck * _fourier_mode(k, self.horizon, s)
+                out = out + ck * trig_mode(k, self.horizon, s)
         return out
 
 
-def _fourier_mode(k: int, t: float, s):
-    """k-th basis function of L^2([0, t]) evaluated at s (k is 1-based)."""
-    if k % 2 == 1:
-        j = (k + 1) // 2
-        return math.sqrt(2.0 / t) * np.sin(j * math.pi * s / t)
+def trig_mode(k: int, t: float, s):
+    """k-th mode of the orthonormal trigonometric basis of L^2([0, t]).
+
+    Mode 1 is the constant 1/sqrt(t); modes 2j and 2j+1 are
+    sqrt(2/t) sin(2 pi j s / t) and sqrt(2/t) cos(2 pi j s / t).  The system
+    is orthonormal, which makes ``fourier_l2``'s projection an inner product
+    and the Ito isometry E[eta^2] = mean^2 + |coeffs|^2 of ``chaos_l2`` exact.
+    """
+    if t <= 0:
+        raise InvalidArgumentError("modes need a positive horizon")
+    s = np.asarray(s, dtype=np.float64)
+    if k == 1:
+        return math.sqrt(1.0 / t) * np.ones_like(s)
     j = k // 2
-    return math.sqrt(2.0 / t) * np.cos((j - 1) * math.pi * s / t)
-
-
-def _fourier_norm_sq(k: int) -> float:
-    """Squared L^2 norm of the k-th basis function (2 for the constant mode)."""
-    return 2.0 if k == 2 else 1.0
+    if k % 2 == 0:
+        return math.sqrt(2.0 / t) * np.sin(2.0 * j * math.pi * s / t)
+    return math.sqrt(2.0 / t) * np.cos(2.0 * j * math.pi * s / t)
 
 
 def _as_coords(space: SchauderSpace, x) -> np.ndarray:
@@ -184,39 +194,31 @@ def _as_coords(space: SchauderSpace, x) -> np.ndarray:
             raise SpaceMismatchError("FourierFunction horizon does not match space")
         return x.coeffs
     if callable(x):
-        if space.kind != "fourier_l2":
-            raise InvalidArgumentError(
-                f"callable elements are only supported in fourier_l2, not {space.kind}"
-            )
         return _quadrature_coords(space, x, 2 * space.k_max)
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidArgumentError(f"element must be 1-D, got shape {arr.shape}")
-    if space.kind == "euclidean" and len(arr) != space.dim:
-        raise InvalidArgumentError(
-            f"euclidean({space.dim}) element has length {len(arr)}"
-        )
-    if space.kind == "chaos_l2" and len(arr) != 1 + space.mode_count:
-        raise InvalidArgumentError(
-            f"chaos_l2 element needs length {1 + space.mode_count}, got {len(arr)}"
-        )
+    cd = space.coord_dim()
+    if cd is not None and len(arr) != cd:
+        raise InvalidArgumentError(f"{space.kind} element needs length {cd}, got {len(arr)}")
     return arr
 
 
 def _quadrature_coords(space: SchauderSpace, f, n: int) -> np.ndarray:
-    """Composite-Simpson projection of a callable onto the first n modes."""
-    from scipy.integrate import simpson
-
+    """Inner products of a callable with the first n modes, by composite
+    Simpson on QUADRATURE_POINTS intervals (an even count)."""
+    if space.kind != "fourier_l2":
+        raise InvalidArgumentError(
+            f"callable elements are only supported in fourier_l2, not {space.kind}"
+        )
     t = space.horizon
-    # Simpson needs an odd point count.
-    m = QUADRATURE_POINTS + 1
-    s = np.linspace(0.0, t, m)
-    fs = np.asarray(f(s), dtype=np.float64)
-    coords = np.empty(n)
-    for k in range(1, n + 1):
-        basis = _fourier_mode(k, t, s)
-        coords[k - 1] = simpson(fs * basis, x=s) / _fourier_norm_sq(k)
-    return coords
+    s = np.linspace(0.0, t, QUADRATURE_POINTS + 1)
+    w = np.full(len(s), 2.0)
+    w[1::2] = 4.0
+    w[[0, -1]] = 1.0
+    w *= (s[1] - s[0]) / 3.0
+    fs = w * np.asarray(f(s), dtype=np.float64)
+    return np.array([trig_mode(k, t, s) @ fs for k in range(1, n + 1)])
 
 
 def project(space: SchauderSpace, x, n: int) -> CoordVector:
@@ -227,8 +229,7 @@ def project(space: SchauderSpace, x, n: int) -> CoordVector:
     if cd is not None and n > cd:
         raise InvalidArgumentError(f"n={n} exceeds the space's dimension {cd}")
     if callable(x) and not isinstance(x, FourierFunction):
-        coords = _quadrature_coords(space, x, n)
-        return CoordVector(coords, space)
+        return CoordVector(_quadrature_coords(space, x, n), space)
     full = _as_coords(space, x)
     coords = np.zeros(n)
     take = min(n, len(full))
@@ -240,19 +241,12 @@ def reconstruct(space: SchauderSpace, v: CoordVector):
     """Sum of the first-n basis elements weighted by the coordinates."""
     if v.space != space:
         raise SpaceMismatchError("coordinate vector belongs to a different space")
-    if space.kind == "euclidean":
-        out = np.zeros(space.dim)
-        out[: len(v.coords)] = v.coords
-        return out
-    if space.kind == "weighted_sequence":
-        return np.array(v.coords, copy=True)
     if space.kind == "fourier_l2":
         return FourierFunction(np.array(v.coords, copy=True), space.horizon)
-    if space.kind == "chaos_l2":
-        out = np.zeros(1 + space.mode_count)
-        out[: len(v.coords)] = v.coords
-        return out
-    raise InvalidArgumentError(f"unknown space kind {space.kind}")
+    cd = space.coord_dim()
+    out = np.zeros(len(v.coords) if cd is None else cd)
+    out[: len(v.coords)] = v.coords
+    return out
 
 
 def truncate(space: SchauderSpace, x, n: int):
@@ -265,15 +259,6 @@ def metric_tail(space: SchauderSpace) -> float:
     if space.kind == "weighted_sequence":
         return 2.0 ** (-space.k_max)
     return 0.0
-
-
-def _banach_norm(space: SchauderSpace, z: np.ndarray) -> float:
-    if space.kind == "fourier_l2":
-        w = np.ones(len(z))
-        if len(z) >= 2:
-            w[1] = 2.0  # constant cosine mode has squared norm 2
-        return math.sqrt(float(np.sum(w * z * z)))
-    return float(np.linalg.norm(z))
 
 
 def metric(space: SchauderSpace, x, y) -> float:
@@ -296,4 +281,4 @@ def metric(space: SchauderSpace, x, y) -> float:
                 running_max = max(running_max, abs(z[k - 1]))
             total += 2.0 ** (-k) * phi(running_max)
         return total
-    return 0.5 * phi(_banach_norm(space, z))
+    return 0.5 * phi(float(np.linalg.norm(z)))

@@ -45,6 +45,7 @@ __all__ = [
 _PACK_RESTARTS = 8  # seeded random pools the greedy packing tries
 _SEARCH_TRIES = 256  # random directions memorize scores for its projection
 SUCCESSOR_TOLERANCE = 1e-9  # a code's largest one-step miss, over the codes' scale
+SUCCESSOR_BLOCK = 128  # the most codes per forward of the successor gate
 
 
 @dataclass(frozen=True)
@@ -367,17 +368,24 @@ class WeaveModel:
     @cached_property
     def successor_residuals(self) -> np.ndarray:
         """Each code's one-step miss max|NN(z_t) - z_{t+1}| over the codes'
-        scale max(1, max|z|), for t < T - 1: one batched forward, not a
-        rollout, computed on first use and then read by the successor gate
-        and ``inspect`` alike."""
-        if self.T < 2:
-            return np.zeros(0)
+        scale max(1, max|z|), for t < T - 1: batched forwards, not a rollout,
+        computed on first use and then read by the successor gate and
+        ``inspect`` alike.  The codes are split evenly into blocks of at most
+        SUCCESSOR_BLOCK, so the hidden layer is held for one block at a time
+        and no block is a sliver of a few rows, which BLAS would round
+        differently from one forward over all the codes."""
+        codes = self.codes
+        n = self.T - 1
+        miss = np.empty(n)
         layers, c = self.hyper_layers
+        blocks = -(-n // SUCCESSOR_BLOCK)
         # in place: the gate runs on every load, next to the bundle's own arrays
-        miss = net._realize(layers, c, self.codes[:-1])
-        miss -= self.codes[1:]
-        miss = np.abs(miss, out=miss).max(axis=1)
-        miss /= max(1.0, float(self.codes.max()), -float(self.codes.min()))
+        for k in range(blocks):
+            i, j = k * n // blocks, (k + 1) * n // blocks
+            block = net._realize(layers, c, codes[i:j])
+            block -= codes[i + 1:j + 1]
+            np.abs(block, out=block).max(axis=1, out=miss[i:j])
+        miss /= max(1.0, float(codes.max()), -float(codes.min()))
         miss.flags.writeable = False
         return miss
 

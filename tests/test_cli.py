@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cnoweave import cli, cno, net, serial, weave
+from cnoweave import cli, cno, net, sde, serial, weave
 from cnoweave.errors import OracleDivergedError
 
 
@@ -249,6 +249,16 @@ class TestBadConfig:
         assert run([command, path]) == 2
         err = capsys.readouterr().err
         assert "train.seed" in err and "top-level seed" in err
+
+    @pytest.mark.parametrize("field", [{"hidden": ["x"]}, {"train": {"seed": 1}}])
+    def test_sde_bench_reads_every_field_before_the_build(self, tmp_path, monkeypatch,
+                                                          field):
+        def build(*args, **kwargs):
+            raise AssertionError("the Monte Carlo build ran before the config was read")
+
+        monkeypatch.setattr(sde, "build_sde_dataset", build)
+        path = write_cfg(tmp_path, "s.yaml", {**field, "out_dir": str(tmp_path / "o")})
+        assert run(["sde-bench", path]) == 2
 
     def test_non_utf8_config_is_2(self, tmp_path):
         path = tmp_path / "c.yaml"

@@ -29,18 +29,6 @@ class TestChaosCoords:
 
 
 class TestModes:
-    def test_orthonormal_on_fine_grid(self):
-        t = 1.0
-        n = 4096
-        s = (np.arange(n) + 0.5) * (t / n)
-        for j in range(1, 8):
-            for k in range(j, 8):
-                ip = float(np.sum(sde.chaos_mode(j, t, s) * sde.chaos_mode(k, t, s))) * (t / n)
-                assert ip == pytest.approx(1.0 if j == k else 0.0, abs=1e-6), (j, k)
-
-    def test_constant_mode(self):
-        assert sde.chaos_mode(1, 4.0, np.array([0.3]))[0] == pytest.approx(0.5)
-
     def test_mode_integral_variance_is_one(self):
         # Ito isometry for a single mode: Var(xi_k) = |phi_k|^2 = 1
         o = sde.McOracle(n_paths=40_000, n_steps=128, seed=0)

@@ -258,6 +258,7 @@ class TestMalformedFiles:
         lambda meta: json.dumps({**meta, "grid_times": "abc"}),
         lambda meta: json.dumps({**meta, "reports": [{"index": 0}]}),
         lambda meta: json.dumps({**meta, "synced_dims": [1e999, 1]}),
+        lambda meta: json.dumps({**meta, "out_spaces": [{"kind": "sobolev", "dim": 1}]}),
     ])
     def test_model_json(self, tmp_path, edit):
         out = tmp_path / "bundle"

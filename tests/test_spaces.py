@@ -41,20 +41,17 @@ class TestProjectReconstruct:
         assert np.array_equal(v.coords, [1.0, 0.0])
 
     def test_fourier_sin_mode_quadrature(self):
-        # f1(s) = sqrt(2) sin(pi s) on [0,1]; projecting it gives coordinate 1
+        # f_2(s) = sqrt(2) sin(2 pi s) on [0,1]; projecting it gives e_2
         f = spaces.fourier_l2(1.0)
-        v = spaces.project(f, lambda s: math.sqrt(2.0) * np.sin(math.pi * np.asarray(s)), 1)
-        assert v.coords[0] == pytest.approx(1.0, abs=1e-9)
+        v = spaces.project(f, lambda s: math.sqrt(2.0) * np.sin(2 * math.pi * np.asarray(s)), 3)
+        assert np.allclose(v.coords, [0.0, 1.0, 0.0], rtol=0, atol=1e-12)
 
     def test_fourier_constant_mode_norm(self):
-        # the j=1 cosine mode is the constant sqrt(2); the squared norm of
-        # that basis element is 2, and projecting onto it must divide by it
-        f = spaces.fourier_l2(1.0)
-        v = spaces.project(f, lambda s: math.sqrt(2.0) * np.ones_like(np.asarray(s)), 2)
-        assert v.coords[1] == pytest.approx(1.0, abs=1e-9)
-        # the half-range system is not orthogonal: the sine mode sees the
-        # constant with weight <1, sqrt(2) sin(pi s)> = 2 sqrt(2)/pi -> 4/pi
-        assert v.coords[0] == pytest.approx(4.0 / math.pi, abs=1e-9)
+        # the constant mode is 1/sqrt(t) with unit norm: the constant 1 on
+        # [0, 4] is 2 f_1, and no other mode sees it
+        f = spaces.fourier_l2(4.0)
+        v = spaces.project(f, lambda s: np.ones_like(np.asarray(s)), 5)
+        assert np.allclose(v.coords, [2.0, 0, 0, 0, 0], rtol=0, atol=1e-12)
 
     def test_reconstruct_zero(self):
         e2 = spaces.euclidean(2)
@@ -68,10 +65,25 @@ class TestProjectReconstruct:
 
     def test_fourier_cos_reconstruct_pointwise(self):
         f = spaces.fourier_l2(1.0)
-        v = spaces.CoordVector(np.array([0.0, 1.0]), f)
+        v = spaces.CoordVector(np.array([0.0, 0.0, 1.0]), f)
         fn = spaces.reconstruct(f, v)
         s = np.linspace(0, 1, 7)
-        assert np.allclose(fn(s), math.sqrt(2.0) * np.ones_like(s))
+        assert np.allclose(fn(s), math.sqrt(2.0) * np.cos(2 * math.pi * s))
+
+    def test_every_mode_projects_to_its_unit_vector(self):
+        f = spaces.fourier_l2(2.0)
+        n = 2 * f.k_max
+        for k in range(1, n + 1):
+            v = spaces.project(f, lambda s, k=k: spaces.trig_mode(k, 2.0, s), n)
+            assert np.max(np.abs(v.coords - np.eye(n)[k - 1])) <= 1e-12, k
+
+    def test_callable_and_coefficients_agree(self):
+        # one function given by coefficients and pointwise is one element
+        f = spaces.fourier_l2(2.0)
+        g = spaces.FourierFunction([0.3, -1.0, 0.5], 2.0)
+        pointwise = lambda s: g(s)  # noqa: E731
+        assert np.max(np.abs(spaces.project(f, pointwise, 3).coords - g.coeffs)) <= 1e-12
+        assert spaces.metric(f, g, pointwise) <= 1e-12
 
     def test_biorthogonality_bit_for_bit(self):
         rng = RNG(0)
@@ -99,6 +111,20 @@ class TestProjectReconstruct:
         v = spaces.CoordVector(np.zeros(2), e2)
         with pytest.raises(SpaceMismatchError):
             spaces.reconstruct(e3, v)
+
+
+class TestTrigModes:
+    def test_orthonormal_on_fine_grid(self):
+        t = 1.0
+        n = 4096
+        s = (np.arange(n) + 0.5) * (t / n)
+        for j in range(1, 8):
+            for k in range(j, 8):
+                ip = float(np.sum(spaces.trig_mode(j, t, s) * spaces.trig_mode(k, t, s))) * (t / n)
+                assert ip == pytest.approx(1.0 if j == k else 0.0, abs=1e-6), (j, k)
+
+    def test_constant_mode(self):
+        assert spaces.trig_mode(1, 4.0, np.array([0.3]))[0] == pytest.approx(0.5)
 
 
 class TestMetric:
@@ -143,6 +169,15 @@ class TestMetric:
                 assert dab <= dac + dcb + 2 * tail + 1e-12
                 if not np.array_equal(a.coords, b.coords):
                     assert dab > 0.0
+
+    def test_fourier_metric_is_the_l2_distance(self):
+        # by Parseval |f_1 + f_2| = sqrt(2), so d(f_1 + f_2, 0) = Phi(sqrt 2) / 2
+        t = 3.0
+        f = spaces.fourier_l2(t)
+        pair = lambda s: spaces.trig_mode(1, t, s) + spaces.trig_mode(2, t, s)  # noqa: E731
+        zero = lambda s: np.zeros_like(s)  # noqa: E731
+        assert spaces.metric(f, pair, zero) == pytest.approx(
+            0.5 * spaces.phi(math.sqrt(2.0)), abs=1e-12)
 
     def test_metric_norm_equivalence_euclidean(self):
         # convergence in the metric iff in the 2-norm on R^n
@@ -196,3 +231,7 @@ class TestDescriptions:
     def test_round_trip(self):
         for space in ALL_SPACES:
             assert spaces.from_description(space.describe()) == space
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="unknown space kind"):
+            spaces.from_description({"kind": "sobolev"})

@@ -402,6 +402,18 @@ class TestBuildWeave:
         assert old.aspect_bound == math.sqrt(1 + 4 * w.R ** 2) / w.delta
         assert np.array_equal(old.packing.points, w.packing.points)
 
+    def test_successor_blocks_match_one_forward(self):
+        # 299 codes run as three blocks; the reference is one forward over all.
+        # BLAS may round a smaller product differently, so the bound is a tenth
+        # of the gate's tolerance, not bit-equality
+        T = 300
+        w = weave.build_weave(RNG(16).standard_normal((T, 20)), Q=9, delta=0.5, seed=0)
+        layers, c = w.hyper_layers
+        miss = np.abs(net._realize(layers, c, w.codes[:-1]) - w.codes[1:]).max(axis=1)
+        miss /= max(1.0, np.abs(w.codes).max())
+        assert -(-(T - 1) // weave.SUCCESSOR_BLOCK) == 3
+        assert np.max(np.abs(w.successor_residuals - miss)) <= weave.SUCCESSOR_TOLERANCE / 10
+
     def test_peak_memory_below_a_pairwise_broadcast(self):
         # a T x T x P difference array alone would take T^2 * P * 8 bytes
         T, P = 32, 4096
@@ -440,6 +452,19 @@ class TestHorizonEdge:
         thetas, w, _ = horizon_edge
         rec = weave.rollout(w, w.T)
         assert np.max(np.abs(rec - thetas)) / max(1.0, np.abs(thetas).max()) <= 1e-6
+
+    def test_successor_gate_peak(self, horizon_edge):
+        # the gate runs the hypernetwork on blocks of codes: one forward over
+        # all 2047 would hold a (2047, 2046) hidden layer, 32 MB
+        _, w, _ = horizon_edge
+        fresh = dataclasses.replace(w)  # its residuals are not yet cached
+        tracemalloc.start()
+        try:
+            fresh.check_successors()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (w.codes.nbytes + w.hyper_theta.nbytes)
 
     def test_build_peak(self, horizon_edge):
         # theta and the codes are 0.8 and 1 MB; the packing's candidate
