@@ -289,7 +289,7 @@ def construct_cno(ds: CausalDataset, eps_D: float, eps_A: float, Q: int,
     # One worker: a minibatch step is a few dozen small numpy calls that hold
     # the GIL, so more threads only contend for it.  The executor stays because
     # the benchmark's smoke test pins net.train spans on pool threads; stacked
-    # training (ROADMAP item 2) deletes it.
+    # training (ROADMAP item 4) deletes it.
     with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(train_one, range(I)))
 

@@ -211,14 +211,32 @@ def _quadrature_coords(space: SchauderSpace, f, n: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"callable elements are only supported in fourier_l2, not {space.kind}"
         )
-    t = space.horizon
+    s, w = _simpson(space.horizon)
+    fs = w * np.asarray(f(s), dtype=np.float64)
+    return np.array([trig_mode(k, space.horizon, s) @ fs for k in range(1, n + 1)])
+
+
+def _simpson(t: float):
+    """The QUADRATURE_POINTS + 1 nodes on [0, t] and their composite-Simpson
+    weights."""
     s = np.linspace(0.0, t, QUADRATURE_POINTS + 1)
     w = np.full(len(s), 2.0)
     w[1::2] = 4.0
     w[[0, -1]] = 1.0
     w *= (s[1] - s[0]) / 3.0
-    fs = w * np.asarray(f(s), dtype=np.float64)
-    return np.array([trig_mode(k, t, s) @ fs for k in range(1, n + 1)])
+    return s, w
+
+
+def _pointwise(x) -> bool:
+    """Whether an element is given only by its values (a plain callable)."""
+    return callable(x) and not isinstance(x, FourierFunction)
+
+
+def _values(space: SchauderSpace, x, s: np.ndarray) -> np.ndarray:
+    """An element of ``fourier_l2`` evaluated at the nodes ``s``."""
+    if _pointwise(x):
+        return np.asarray(x(s), dtype=np.float64)
+    return FourierFunction(_as_coords(space, x), space.horizon)(s)
 
 
 def project(space: SchauderSpace, x, n: int) -> CoordVector:
@@ -228,7 +246,7 @@ def project(space: SchauderSpace, x, n: int) -> CoordVector:
     cd = space.coord_dim()
     if cd is not None and n > cd:
         raise InvalidArgumentError(f"n={n} exceeds the space's dimension {cd}")
-    if callable(x) and not isinstance(x, FourierFunction):
+    if _pointwise(x):
         return CoordVector(_quadrature_coords(space, x, n), space)
     full = _as_coords(space, x)
     coords = np.zeros(n)
@@ -265,8 +283,16 @@ def metric(space: SchauderSpace, x, y) -> float:
     """d(x, y) = sum_k 2^{-k} Phi(p_k(x - y)), evaluated to k_max terms.
 
     The reported value is exact for the Banach instances (single term) and
-    within :func:`metric_tail` for the sequence space.
+    within :func:`metric_tail` for the sequence space.  When either element
+    of ``fourier_l2`` is a plain callable, |x - y| is its L^2 norm by the
+    composite-Simpson weights of projection on QUADRATURE_POINTS = 1024
+    intervals, which integrate |x - y|^2 exactly while its modes stay below
+    512; higher modes alias.
     """
+    if space.kind == "fourier_l2" and (_pointwise(x) or _pointwise(y)):
+        s, w = _simpson(space.horizon)
+        diff = _values(space, x, s) - _values(space, y, s)
+        return 0.5 * phi(math.sqrt(float(w @ (diff * diff))))
     cx = _as_coords(space, x)
     cy = _as_coords(space, y)
     n = max(len(cx), len(cy))

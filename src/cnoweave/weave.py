@@ -89,32 +89,154 @@ class Packing:
         return self._separation
 
 
+# The BLAS screens.  _screened_rows and _greedy_farthest rank pairs by their
+# squared distance |x|^2 + |y|^2 - 2 x.y, taken from a matrix product, and
+# only the pairs that the ranking cannot rule out are measured by the direct
+# sqrt(sum((x - y)^2)).  So _distance_extremes and _greedy_farthest return the
+# same floats as a direct pass over every pair, at any BLAS thread count.
+#
+# The margin.  With u = 2^-53 and gamma_k = k u / (1 - k u), a k-term dot
+# product, summed in any order, with or without fused multiply-adds, is within
+# gamma_k sum |x_i y_i| of its real value.  Take two rows x, y of n columns
+# (centred as c = fl(p - mu) by _screened_rows; the greedy pool is not
+# centred) and sigma = |x|^2 + |y|^2.  Then
+#   - the screen's squared norms are within gamma_n sigma, and forming
+#     |x|^2 + |y|^2 - 2 x.y, as a dot product and two additions or as one
+#     (n+2)-term dot product, adds at most 2 gamma_{n+2} (1 + gamma_n) sigma:
+#     3.1 gamma_{n+2} sigma in all;
+#   - centring moves each coordinate of x - y by at most
+#     gamma_1 (|x_i| + |y_i|), so the squared distance by at most
+#     4.01 gamma_1 sigma;
+#   - the direct pass rounds the difference, its square and an n-term sum of
+#     non-negative terms, so it is within gamma_{n+2} |p - q|^2
+#     <= 2.01 gamma_{n+2} sigma of the real squared distance.
+# A screened squared distance is thus within E = 9.2 gamma_{n+2} sigma
+# <= 19 gamma_{n+2} scale of the direct one, scale being the largest screened
+# squared norm, and so is a row's screened minimum (maximum) of its direct one:
+# the row that holds the direct extreme screens within 2E of the screened
+# extreme.  The greedy pass also needs the first index of the largest direct
+# distance, and fl(sqrt) maps squared distances up to a factor 1 + 4.2 u apart
+# to one float: another 4.2 u times at most 4.1 scale.  64 gamma_{n+2} scale
+# covers it all (56 would).  Underflow adds at most half a subnormal per
+# product, 5n per pair: the absolute term.  A wider margin only lets more
+# pairs through to the direct pass.  From _SCREEN_LIMIT on the screen could
+# overflow, so every pair is measured directly.
+_SCREEN_LIMIT = 2.0 ** 1020  # the largest squared norm the screen is trusted with
+# Below this many points the direct pass alone is faster: the screen costs a
+# fixed ~0.07 ms, more than the whole direct pass over 8 points, and was as
+# fast or faster from 12 points on, at widths 2 to 50 (2-core VM).
+_SCREEN_MIN_ROWS = 12
+
+
+def _screen_margin(n: int, scale: float) -> float:
+    """How far below (above) a screened maximum (minimum) of squared
+    distances between rows of n columns a screened value may lie and still
+    belong to the direct one; inf when the screen cannot be trusted."""
+    if not scale < _SCREEN_LIMIT:  # NaN too
+        return math.inf
+    k = (n + 2) * np.finfo(np.float64).eps / 2
+    return 64.0 * (k / (1.0 - k) * scale + (n + 2) * np.finfo(np.float64).smallest_subnormal)
+
+
+def _screened_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows a of two or more points whose distances to the rows after
+    them may hold the least or the largest of all pairwise distances, by a
+    BLAS screen of the centred squared distances (see _screen_margin).  It
+    runs on blocks of at most 8 max(1, n) rows, so memory stays linear in the size
+    of ``pts``."""
+    T, n = pts.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = pts - pts.mean(axis=0)
+        sq = np.einsum("ij,ij->i", c, c)
+        margin = _screen_margin(n, float(sq.max()))
+        lo = np.empty(T - 1)
+        hi = np.empty(T - 1)
+        block = 8 * max(1, n)
+        for i in range(0, T - 1, block):
+            j = min(i + block, T - 1)
+            # row a = i + r against b = i + 1 + k: the pairs b <= a lie below the diagonal
+            d = c[i:j] @ c[i + 1:].T
+            d *= -2.0
+            d += sq[i:j, None]
+            d += sq[None, i + 1:]
+            below = np.tril_indices(j - i, -1)
+            d[below] = np.inf
+            d.min(axis=1, out=lo[i:j])
+            d[below] = -np.inf
+            d.max(axis=1, out=hi[i:j])
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        keep = ~finite
+        if finite.any():
+            keep |= lo <= lo[finite].min() + margin
+            keep |= hi >= hi[finite].max() - margin
+    return np.flatnonzero(keep)
+
+
 def _distance_extremes(pts: np.ndarray) -> tuple:
     """(min, max) distance between distinct rows of two or more points.  One
     row at a time, keeping only each row's extremes, so memory stays linear
-    in the size of ``pts``."""
-    lo = np.empty(len(pts) - 1)
-    hi = np.empty(len(pts) - 1)
-    for a in range(len(pts) - 1):
+    in the size of ``pts``; from _SCREEN_MIN_ROWS points on, only the rows
+    that :func:`_screened_rows` cannot rule out."""
+    rows = _screened_rows(pts) if len(pts) >= _SCREEN_MIN_ROWS else range(len(pts) - 1)
+    lo = np.empty(len(rows))
+    hi = np.empty(len(rows))
+    for k, a in enumerate(rows):
         diff = pts[a + 1:] - pts[a]
         d = np.sqrt(np.sum(diff * diff, axis=-1))
-        lo[a] = d.min()
-        hi[a] = d.max()
+        lo[k] = d.min()
+        hi[k] = d.max()
     return float(lo.min()), float(hi.max())
 
 
 def _greedy_farthest(pool: np.ndarray, delta: float, T_needed: int, start: int):
     """Farthest-point pass over a candidate pool; stops at T_needed points or
-    when no candidate stays strictly beyond delta from the chosen set."""
-    chosen = [pool[start]]
-    dists = np.linalg.norm(pool - pool[start], axis=1)
-    while len(chosen) < T_needed:
-        i = int(np.argmax(dists))
-        if dists[i] <= delta:
+    when no candidate stays strictly beyond delta from the chosen set.
+
+    Each step takes one gemv of the rows (x, 1, |x|^2) of the pool with
+    (-2 p, |p|^2, 1) for the newly chosen point p, the screened squared
+    distance |x|^2 + |p|^2 - 2 x.p of every x, into a running minimum.  Only
+    the candidates within _screen_margin of the screened maximum are measured
+    directly, each against the points chosen since it was last measured.
+    The next point is the first index of the largest direct distance, so the
+    pass picks the points, and stops, exactly where a direct pass over the
+    whole pool would, and never measures more pairs than it."""
+    size, n = pool.shape
+    chosen = np.empty((T_needed, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", pool, pool)
+        margin = _screen_margin(n, float(sq.max()))
+        rows = np.vstack([pool.T, np.ones(size), sq])
+    vec = np.empty(n + 2)
+    vec[n + 1] = 1.0
+    screened = np.full(size, np.inf)
+    gap = np.empty(size)
+    near = np.full(size, np.inf)  # the least direct distance to chosen[:seen]
+    seen = np.zeros(size, dtype=np.intp)
+    i = start
+    for k in range(1, T_needed + 1):
+        chosen[k - 1] = pool[i]
+        if k == T_needed:
             break
-        chosen.append(pool[i])
-        dists = np.minimum(dists, np.linalg.norm(pool - pool[i], axis=1))
-    return np.array(chosen)
+        np.multiply(pool[i], -2.0, out=vec[:n])
+        vec[n] = sq[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.dot(vec, rows, out=gap)
+            np.minimum(screened, gap, out=screened)
+            # a NaN screens as a candidate
+            cand = np.flatnonzero(~(screened < screened.max() - margin))
+        for s in np.unique(seen[cand]):
+            group = cand[seen[cand] == s]
+            step = max(1, size // (k - s))  # at most `size` differences at a time
+            for g in range(0, len(group), step):
+                part = group[g:g + step]
+                d = np.linalg.norm(pool[part, None] - chosen[None, s:k], axis=2)
+                near[part] = np.minimum(near[part], d.min(axis=1))
+        seen[cand] = k
+        best = int(np.argmax(near[cand]))
+        i = int(cand[best])
+        if near[i] <= delta:
+            break
+    return chosen[:k]
 
 
 def _pack_points(Q: int, R: float, delta: float, T: int, seed: int) -> np.ndarray:

@@ -179,6 +179,25 @@ class TestMetric:
         assert spaces.metric(f, pair, zero) == pytest.approx(
             0.5 * spaces.phi(math.sqrt(2.0)), abs=1e-12)
 
+    def test_fourier_metric_measures_a_callable_past_the_projected_modes(self):
+        # mode 200 lies past the 2 k_max = 128 modes projection reads; it has
+        # unit L^2 norm, so d(f_200, 0) = Phi(1) / 2
+        f = spaces.fourier_l2(1.0)
+        mode = lambda s: spaces.trig_mode(200, 1.0, s)  # noqa: E731
+        for zero in (np.zeros(1), spaces.FourierFunction([0.0], 1.0), lambda s: 0.0 * s):
+            assert spaces.metric(f, mode, zero) == pytest.approx(0.25, abs=1e-12)
+            assert spaces.metric(f, zero, mode) == pytest.approx(0.25, abs=1e-12)
+
+    def test_fourier_metric_aliases_from_mode_512(self):
+        # the 1,024-interval Simpson weights integrate |f_k|^2 exactly up to
+        # mode 511; mode 512's square has frequency 512 and aliases
+        f = spaces.fourier_l2(1.0)
+        zero = np.zeros(1)
+        exact = spaces.metric(f, lambda s: spaces.trig_mode(511, 1.0, s), zero)
+        aliased = spaces.metric(f, lambda s: spaces.trig_mode(512, 1.0, s), zero)
+        assert exact == pytest.approx(0.25, abs=1e-12)
+        assert abs(aliased - 0.25) > 0.01
+
     def test_metric_norm_equivalence_euclidean(self):
         # convergence in the metric iff in the 2-norm on R^n
         e4 = spaces.euclidean(4)

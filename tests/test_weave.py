@@ -2,10 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from cnoweave import net, serial, weave
@@ -95,6 +101,139 @@ class TestAspectRatio:
             tracemalloc.stop()
         assert ratio == pytest.approx(d.max() / d.min(), rel=1e-12)
         assert peak < 2 * 2**20
+
+
+def reference_extremes(pts):
+    """The direct pass over every row that the screened _distance_extremes
+    must match bit for bit."""
+    lo = np.empty(len(pts) - 1)
+    hi = np.empty(len(pts) - 1)
+    for a in range(len(pts) - 1):
+        diff = pts[a + 1:] - pts[a]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        lo[a] = d.min()
+        hi[a] = d.max()
+    return float(lo.min()), float(hi.max())
+
+
+def reference_greedy(pool, delta, T_needed, start):
+    """The direct farthest-point pass over the whole pool that the screened
+    _greedy_farthest must match bit for bit."""
+    chosen = [pool[start]]
+    dists = np.linalg.norm(pool - pool[start], axis=1)
+    while len(chosen) < T_needed:
+        i = int(np.argmax(dists))
+        if dists[i] <= delta:
+            break
+        chosen.append(pool[i])
+        dists = np.minimum(dists, np.linalg.norm(pool - pool[i], axis=1))
+    return np.array(chosen)
+
+
+def same_floats(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_extremes_match(pts):
+    with np.errstate(over="ignore"):  # the direct pass overflows where the points do
+        assert same_floats(weave._distance_extremes(pts), reference_extremes(pts))
+
+
+def assert_greedy_matches(pool, delta, T_needed, start=0):
+    with np.errstate(over="ignore"):
+        got = weave._greedy_farthest(pool, delta, T_needed, start)
+        assert same_floats(got, reference_greedy(pool, delta, T_needed, start))
+
+
+class TestScreens:
+    """The BLAS screens in front of the distance passes pick the same floats
+    as the direct passes over every pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(2, 90), n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-300, 300), offset=st.sampled_from([0.0, 1.0, 1e12]))
+    def test_extremes_on_drawn_shapes(self, T, n, seed, exponent, offset):
+        assert_extremes_match(RNG(seed).standard_normal((T, n)) * 10.0 ** exponent + offset)
+
+    @pytest.mark.parametrize("case", ["near_ties", "duplicates", "constant", "offset_1e12",
+                                      "overflow_1e160", "subnormal", "two_points", "lattice",
+                                      "no_columns"])
+    @pytest.mark.parametrize("T", [2, 11, 12, 64, 300])
+    def test_extremes_at_the_edges(self, case, T):
+        rng = RNG(T)
+        pts = rng.standard_normal((T, 3))
+        if case == "near_ties":
+            # a regular polygon's equal sides and diagonals, each nudged by an ulp
+            angle = 2 * np.pi * np.arange(T) / T
+            pts = np.stack([np.cos(angle), np.sin(angle), np.zeros(T)], axis=1)
+            pts[::2, 2] = np.nextafter(0.0, 1.0) * rng.integers(0, 3, len(pts[::2]))
+            pts[1::3, 0] = np.nextafter(pts[1::3, 0], 2.0)
+        elif case == "duplicates":
+            pts[T // 2] = pts[0]
+        elif case == "constant":
+            pts[:] = pts[0]
+        elif case == "offset_1e12":
+            pts += 1e12
+        elif case == "overflow_1e160":
+            pts *= 1e160
+        elif case == "subnormal":
+            pts *= 1e-310
+        elif case == "two_points":
+            pts = pts[:2]
+        elif case == "lattice":
+            pts = np.floor(pts * 2.0)
+        elif case == "no_columns":
+            pts = pts[:, :0]
+        assert_extremes_match(pts)
+
+    def test_huge_thetas_raise_without_new_warnings(self):
+        thetas = RNG(0).standard_normal((40, 5)) * 1e160
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidArgumentError, match="M_T must be finite"):
+                weave.build_weave(thetas, Q=8, delta=0.5)
+        # only the direct pass's own overflow, which the parent pass also raised
+        assert {str(w.message) for w in seen} == {"overflow encountered in multiply"}
+
+    @pytest.mark.parametrize("Q", range(1, 9))
+    def test_packing_at_the_viable_horizon(self, Q, monkeypatch):
+        T = weave.viable_horizon(Q, 0.5)
+        got = weave._pack_points(Q, 1.0, 0.5, T, seed=0)
+        monkeypatch.setattr(weave, "_greedy_farthest", reference_greedy)
+        assert same_floats(got, weave._pack_points(Q, 1.0, 0.5, T, seed=0))
+
+    @pytest.mark.parametrize("T, P, Q", [(8, 251, 4), (4, 628, 4), (32, 18451, 8)])
+    def test_benchmark_shapes_build_the_same_weave(self, T, P, Q, monkeypatch):
+        # construct-serve, sde-orbits and weave-wide
+        thetas = RNG(T).standard_normal((T, P))
+        got = weave.build_weave(thetas, Q=Q, delta=0.5, seed=1)
+        monkeypatch.setattr(weave, "_greedy_farthest", reference_greedy)
+        monkeypatch.setattr(weave, "_distance_extremes", reference_extremes)
+        ref = weave.build_weave(thetas, Q=Q, delta=0.5, seed=1)
+        assert got.M_T == ref.M_T
+        assert same_floats(got.codes, ref.codes)
+        assert same_floats(got.hyper_theta, ref.hyper_theta)
+
+    @pytest.mark.parametrize("case", ["duplicate_rows", "lattice", "huge_ball", "tiny_ball"])
+    def test_greedy_at_the_edges(self, case):
+        rng = RNG(3)
+        pool = rng.uniform(-1, 1, (4096, 3))
+        delta, T = 0.5, 40
+        if case == "duplicate_rows":
+            # every point twice: each maximum is tied, and the first index wins
+            pool = np.repeat(pool[:2048], 2, axis=0)
+        elif case == "lattice":
+            # 9^3 points of a grid: whole shells of exactly tied distances
+            axis = np.linspace(-1, 1, 9)
+            pool = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+            delta, T = 0.2, 200
+        elif case == "huge_ball":
+            # squared norms past the screen's range: every point is measured directly
+            pool, delta = pool * 1e155, 0.5e155
+        elif case == "tiny_ball":
+            pool, delta = pool * 1e-160, 0.5e-160
+        assert_greedy_matches(pool, delta, T, start=7)
 
 
 class TestMemorize:
@@ -453,6 +592,11 @@ class TestHorizonEdge:
         rec = weave.rollout(w, w.T)
         assert np.max(np.abs(rec - thetas)) / max(1.0, np.abs(thetas).max()) <= 1e-6
 
+    def test_aspect_ratio_matches_the_direct_pass(self, horizon_edge):
+        _, w, _ = horizon_edge
+        hi_lo = reference_extremes(w.codes)[::-1]
+        assert same_floats(weave.aspect_ratio(w.codes), np.divide(*hi_lo))
+
     def test_successor_gate_peak(self, horizon_edge):
         # the gate runs the hypernetwork on blocks of codes: one forward over
         # all 2047 would hold a (2047, 2046) hidden layer, 32 MB
@@ -471,6 +615,41 @@ class TestHorizonEdge:
         # pools take most of the rest
         _, _, peak = horizon_edge
         assert peak < 24 * 2**20
+
+
+THREADED_BUILD = """
+import hashlib, sys
+import numpy as np
+from cnoweave import serial, weave
+# weave-wide's thetas, and a horizon long enough for the largest candidate pool
+for i, (T, P, Q) in enumerate([(32, 18451, 8), (700, 50, 10)]):
+    w = weave.build_weave(np.random.default_rng(T).standard_normal((T, P)), Q=Q, delta=0.5)
+    path = f"{sys.argv[1]}/w{i}.bin"
+    serial.save_weave(path, w)
+    with open(path, "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest(), repr(weave.aspect_ratio(w.codes)))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU runs one BLAS thread")
+def test_weave_bytes_independent_of_the_blas_thread_count(tmp_path):
+    # the screens' products round differently across thread counts; the
+    # direct passes behind them do not
+    src = os.path.dirname(os.path.dirname(weave.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = {}
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        d.mkdir()
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADED_BUILD, str(d)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = proc.stdout
+    assert out["1"] == out["2"]
+    assert len(out["1"].splitlines()) == 2
+
 
 class TestTable2:
     @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
