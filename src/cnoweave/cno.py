@@ -8,14 +8,15 @@ coordinates at step i.  Construction trains one filter core of a common
 shape per window and stores the parameter sequence in a weave model;
 prediction reads each window's parameters back through the weave rollout,
 decoded once per model into the read-only rows of one (T, P) array, and
-never consults future inputs.  Serving runs the filters one layer at a time
-across every step: each layer's elementwise work is one call over the
-horizon and each step's product is its own ``np.dot``, so every output is
-bit-identical to ``net.forward`` of that step's filter.
+never consults future inputs.  Serving runs ``net.forward``'s layer loop
+across every step: a layer is one call per elementwise op over the horizon
+and one stacked ``np.matmul`` whose i-th slice is step i's product, so every
+output is bit-identical to ``net.forward`` of that step's filter.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,13 +79,16 @@ class CausalDataset:
         for i, w in enumerate(self.windows):
             ins = np.asarray(w["inputs"], dtype=np.float64)
             tgt = np.asarray(w["targets"], dtype=np.float64)
-            if ins.shape[1] != self.M * self.step_dim:
+            if ins.ndim != 2 or ins.shape[1] != self.M * self.step_dim:
                 raise InvalidArgumentError(
-                    f"window {i} inputs have dim {ins.shape[1]}, "
-                    f"expected M*step_dim={self.M * self.step_dim}"
+                    f"window {i} inputs have shape {ins.shape}, "
+                    f"expected (n_samples, M*step_dim={self.M * self.step_dim})"
                 )
-            if ins.shape[0] != tgt.shape[0]:
-                raise InvalidArgumentError(f"window {i} inputs/targets disagree")
+            # window 0 sets out_dim, which every later window must share
+            if tgt.ndim != 2 or tgt.shape != (ins.shape[0], self.out_dim):
+                raise InvalidArgumentError(
+                    f"window {i} targets have shape {tgt.shape}, "
+                    f"expected (n_samples={ins.shape[0]}, window 0's out_dim)")
 
     @property
     def n_windows(self):
@@ -165,8 +169,10 @@ class CnoModel:
     @cached_property
     def _step_layers(self) -> tuple:
         """Every filter's blocks as per-layer views across the steps, for
-        :func:`net._realize_steps`; views into the decoded array, not copies."""
-        return net._blocks(self.synced_spec, self._thetas)
+        :func:`net._realize` on (T, batch, d_0) windows: ``b``, ``alpha`` and
+        ``c`` get a unit batch axis.  Views into the decoded array, not copies."""
+        layers, c = net._blocks(self.synced_spec, self._thetas)
+        return [(A, b[:, None], alpha[:, None]) for A, b, alpha in layers], c[:, None]
 
 
 def _as_paths(paths, step_dim: int) -> np.ndarray:
@@ -327,7 +333,8 @@ def predict_paths(model: CnoModel, paths, horizon: int = None) -> np.ndarray:
     # a window reading ahead would change the outputs the causality audit checks
     windows = _windows(paths[:, : model.horizon], model.M).transpose(1, 0, 2)
     layers, c = model._step_layers
-    return net._realize_steps(layers, c, windows[:horizon]).transpose(1, 0, 2)
+    layers = [(A[:horizon], b[:horizon], alpha[:horizon]) for A, b, alpha in layers]
+    return net._realize(layers, c[:horizon], windows[:horizon]).transpose(1, 0, 2)
 
 
 def predict(model: CnoModel, x_path, horizon: int = None):
@@ -339,6 +346,12 @@ def causality_audit(model: CnoModel, x_path_a, x_path_b, i: int) -> bool:
     """True iff outputs up to step i are bit-identical when only the future
     (steps > i) differs between the two paths.  Both paths run through one
     batched call, so the same arithmetic serves both rows."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise InvalidArgumentError(f"step i must be an integer, got {i!r}") from None
+    if not 0 <= i < model.horizon:
+        raise InvalidArgumentError(f"step i must be in [0, {model.horizon}), got {i}")
     a = np.asarray(x_path_a, dtype=np.float64)
     b = np.asarray(x_path_b, dtype=np.float64)
     if a.shape != b.shape:

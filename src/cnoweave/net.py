@@ -173,31 +173,15 @@ def _realize(layers, c, h):
     once and calls this.  The activation is written out and the product is
     ``np.dot``: on a small hypernetwork's steps the calls cost more than the
     arithmetic.  Every array but the input is the loop's own, so the
-    activation and the output bias are applied in place."""
+    activation and the output bias are applied in place.  For n nets, one
+    per row of an (n, batch, d_0) ``h``, pass blocks of an (n, P) stack with
+    ``b``, ``alpha`` and ``c`` broadcast over the batch: net i's product is
+    then slice i of one ``np.matmul``, slower per small product than np.dot."""
     for A, b, alpha in layers:
         h = h + b
-        h = np.dot(np.maximum(h, alpha * h, out=h), A.T)
+        np.maximum(h, alpha * h, out=h)
+        h = np.dot(h, A.T) if A.ndim == 2 else np.matmul(h, A.transpose(0, 2, 1))
     h += c
-    return h
-
-
-def _realize_steps(layers, c, h):
-    """:func:`_realize` of T nets, one per step, layer by layer across the
-    steps: ``layers`` and ``c`` are :func:`_blocks` views of a (T, P) stack
-    and ``h`` is (n_steps, batch, d_0) with n_steps <= T, row i the batch net
-    i sees.  Each layer's elementwise work is one call over every step, and
-    each step's product is its own ``np.dot`` on the same (batch, d_j) rows
-    that :func:`_realize` multiplies, so every step's output is bit-identical
-    to ``_realize`` on that net alone."""
-    n = len(h)
-    for A, b, alpha in layers:
-        h = h + b[:n, None]
-        np.maximum(h, alpha[:n, None] * h, out=h)
-        nxt = np.empty(h.shape[:-1] + (A.shape[1],))
-        for h_i, At_i, out_i in zip(h, A.transpose(0, 2, 1), nxt):
-            np.dot(h_i, At_i, out=out_i)
-        h = nxt
-    h += c[:n, None]
     return h
 
 

@@ -89,6 +89,22 @@ class TestWindowContract:
                                    M=2, step_dim=1)
         assert str(targets_shape) in str(info.value)
 
+    @pytest.mark.parametrize("bad, inputs, targets", [
+        (0, (4,), (4, 1)),  # 1-D inputs raised a raw IndexError
+        (1, (4,), (4, 1)),
+        (0, (4, 2), (4,)),  # 1-D targets were accepted, and out_dim raised IndexError
+        (1, (4, 2, 1), (4, 1)),  # accepted, and construct_cno failed to broadcast
+        (1, (4, 2), (4, 2)),  # another out_dim than window 0's
+        (1, (4, 2), (3, 1)),  # another sample count than its inputs
+    ], ids=["1d-inputs-first", "1d-inputs", "1d-targets-first", "3d-inputs", "out-dim",
+            "sample-count"])
+    def test_every_window_shape_is_checked(self, bad, inputs, targets):
+        windows = [{"inputs": np.zeros((3, 2)), "targets": np.zeros((3, 1))}] * 2
+        windows[bad] = {"inputs": np.zeros(inputs), "targets": np.zeros(targets)}
+        with pytest.raises(InvalidArgumentError, match=f"window {bad} "):
+            cno.CausalDataset(grid=cno.TimeGrid(np.arange(2.0)), M=2, step_dim=1,
+                              windows=windows)
+
     def test_predict_on_a_training_path_is_the_window_forward(self):
         rng = RNG(8)
         T, M, step_dim = 4, 3, 3
@@ -258,6 +274,14 @@ class TestCausality:
         with pytest.raises(InvalidArgumentError):
             cno.causality_audit(model, np.zeros((5, 1)), np.zeros((4, 1)), 1)
 
+    @pytest.mark.parametrize("i", [-1, 5, 2.5, "2", None])
+    def test_step_must_be_an_index_within_the_horizon(self, model, i):
+        # -1 was reported as a horizon of 0, and 2.5 raised a raw TypeError
+        a = np.zeros((5, 1))
+        with pytest.raises(InvalidArgumentError, match="step i"):
+            cno.causality_audit(model, a, a.copy(), i)
+        assert cno.causality_audit(model, a, a.copy(), np.int64(4))
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("step", [1, 4])  # in the shared prefix, in the future
     def test_non_finite_path_is_a_typed_error(self, model, bad, step):
@@ -338,57 +362,66 @@ class TestDecodeOnce:
         assert model.filters is model.filters
 
 
-def woven_model(thetas, dims, M, step_dim):
+def woven_model(thetas, dims, M, step_dim, Q=4):
     """A model serving the given filter parameters through their weave, with
     no training."""
     return cno.CnoModel(
-        weave_model=weave.build_weave(thetas, Q=4, delta=0.5, seed=0),
+        weave_model=weave.build_weave(thetas, Q=Q, delta=0.5, seed=0),
         synced_spec=net.NetSpec(dims, "prelu"),
         grid=cno.TimeGrid(np.arange(len(thetas), dtype=np.float64)), M=M,
-        step_dim=step_dim, out_dim=dims[-1], out_spaces=[], reports=[], Q=4, delta=0.5,
+        step_dim=step_dim, out_dim=dims[-1], out_spaces=[], reports=[], Q=Q, delta=0.5,
         seed=0,
     )
 
 
 class TestLayerMajorServing:
-    """predict_paths runs the filters layer by layer across the steps; each
-    step stays bit-identical to net.forward of its own filter."""
+    """predict_paths runs each layer as one stacked product across the steps;
+    each step stays bit-identical to net.forward of its own filter."""
 
-    @pytest.fixture(scope="class")
-    def deep_model(self):
+    @pytest.fixture(scope="class", params=[
         # depth 3, step_dim 3, and M = 6 longer than the 4-step paths
-        dims, T = (18, 5, 4, 2), 4
+        ((18, 5, 4, 2), 4, 6, 3, 4),
+        # a one-unit hidden layer
+        ((6, 1, 3), 5, 3, 2, 4),
+        # a long horizon, 2^8 steps
+        ((8, 24, 1), 256, 8, 1, 8),
+    ], ids=["deep", "unit-hidden", "long"])
+    def served_model(self, request):
+        dims, T, M, step_dim, Q = request.param
         spec = net.NetSpec(dims)
         thetas = RNG(21).standard_normal((T, net.param_count(spec)))
         # slopes outside [0, 1] take the alpha * h branch of max(h, alpha * h)
-        slopes = np.resize([0.0, 0.3, -0.7, 1.6], (T, 3))
+        slopes = np.resize([0.0, 0.3, -0.7, 1.6], (T, spec.depth))
         for j, (_, _, alpha) in enumerate(net._blocks(spec, thetas)[0]):
             alpha[:, 0] = slopes[:, j]
-        return woven_model(thetas, dims, M=6, step_dim=3)
+        return woven_model(thetas, dims, M=M, step_dim=step_dim, Q=Q)
 
     @pytest.mark.parametrize("n_paths", [1, 2, 7])
-    def test_every_step_is_its_filters_forward(self, deep_model, n_paths):
-        model = deep_model
+    def test_every_step_is_its_filters_forward(self, served_model, n_paths):
+        model = served_model
         paths = RNG(n_paths).standard_normal((n_paths, model.horizon, model.step_dim))
+        # a step's filter and windows do not depend on the horizon served
+        direct = []
+        for i in range(model.horizon):
+            windows = np.stack([cno.build_window(p, i, model.M, model.step_dim)
+                                for p in paths])
+            direct.append(net.forward(model.synced_spec, model.filters[i], windows))
+            if n_paths == 1:  # and a lone path against its 1-D window's forward
+                assert np.array_equal(
+                    direct[i][0], net.forward(model.synced_spec, model.filters[i], windows[0]))
         for horizon in range(1, model.horizon + 1):
             out = cno.predict_paths(model, paths, horizon)
             for i in range(horizon):
-                windows = np.stack([cno.build_window(p, i, model.M, model.step_dim)
-                                    for p in paths])
-                direct = net.forward(model.synced_spec, model.filters[i], windows)
-                assert np.array_equal(out[:, i], direct)
-                if n_paths == 1:  # and a lone path against its 1-D window's forward
-                    assert np.array_equal(
-                        out[0, i], net.forward(model.synced_spec, model.filters[i], windows[0]))
+                assert np.array_equal(out[:, i], direct[i])
 
-    def test_audit_holds_at_every_step(self, deep_model):
+    def test_audit_holds_at_every_step(self, served_model):
         rng = RNG(5)
-        shape = (deep_model.horizon, deep_model.step_dim)
-        for i in range(deep_model.horizon):
+        shape = (served_model.horizon, served_model.step_dim)
+        for i in range(served_model.horizon):
             a = rng.standard_normal(shape)
             b = a.copy()
             b[i + 1:] = rng.standard_normal(b[i + 1:].shape)
-            assert cno.causality_audit(deep_model, a, b, i)
+            assert cno.causality_audit(served_model, a, b, i)
 
     def test_decode_and_serve_memory_is_linear(self):
         dims, T = (4, 2000, 5, 1), 8
@@ -411,8 +444,8 @@ class TestLayerMajorServing:
         # views that keep its step axis and, being read-only, were not copied
         layers, c = model._step_layers
         assert [(A.shape, b.shape, alpha.shape) for A, b, alpha in layers] == [
-            ((T, d1, d0), (T, d0), (T, 1)) for d0, d1 in zip(dims, dims[1:])]
-        assert c.shape == (T, dims[-1])
+            ((T, d1, d0), (T, 1, d0), (T, 1, 1)) for d0, d1 in zip(dims, dims[1:])]
+        assert c.shape == (T, 1, dims[-1])
         views = [c] + [v for layer in layers for v in layer]
         assert all(np.shares_memory(v, base) and not v.flags.writeable for v in views)
 
